@@ -17,7 +17,6 @@ from .solver import (
     preprocess,
     solve,
     srex_crossover,
-    update_population,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "preprocess",
     "solve",
     "srex_crossover",
-    "update_population",
 ]

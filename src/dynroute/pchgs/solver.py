@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,46 +66,135 @@ def preprocess(inst: PcInstance) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(add_in), frozenset(add_out)
 
 
+def _same_route_plans(n: int, pu: int, pv: int) -> list[list[tuple[int, int, bool]]]:
+    """The same-route moves of the visits at positions pu and pv of an
+    n-visit route, in trial order. Each is a plan: the segments (first,
+    last, reversed) of the old route that, concatenated, give the new one.
+
+    The moves: relocate u after and before v; relocate (u, succ u) and
+    (succ u, u) after v; swap u with v, (u, succ u) with v, and
+    (u, succ u) with (v, succ v); reverse the stretch from u to v.
+    """
+
+    def relocate(b0: int, b1: int, rev: bool, k: int):
+        # move visits b0..b1 to just before old position k
+        x = (b0, b1, rev)
+        if k <= b0:
+            segs = [(0, k - 1, False), x, (k, b0 - 1, False), (b1 + 1, n - 1, False)]
+        else:
+            segs = [(0, b0 - 1, False), (b1 + 1, k - 1, False), x, (k, n - 1, False)]
+        return [s for s in segs if s[0] <= s[1]]
+
+    def swap(i1: int, j1: int, i2: int, j2: int):
+        if i2 < i1:
+            i1, j1, i2, j2 = i2, j2, i1, j1
+        segs = [(0, i1 - 1, False), (i2, j2, False), (j1 + 1, i2 - 1, False),
+                (i1, j1, False), (j2 + 1, n - 1, False)]
+        return [s for s in segs if s[0] <= s[1]]
+
+    has_succ_u = pu + 1 < n and pu + 1 != pv
+    plans = [relocate(pu, pu, False, pv + 1), relocate(pu, pu, False, pv)]
+    if has_succ_u:
+        plans.append(relocate(pu, pu + 1, False, pv + 1))
+        plans.append(relocate(pu, pu + 1, True, pv + 1))
+    plans.append(swap(pu, pu, pv, pv))
+    if has_succ_u:
+        plans.append(swap(pu, pu + 1, pv, pv))
+        if pv + 1 < n and pv + 1 != pu:
+            plans.append(swap(pu, pu + 1, pv, pv + 1))
+    lo, hi = (pu, pv) if pu < pv else (pv, pu)
+    plans.append([s for s in ((0, lo - 1, False), (lo, hi, True), (hi + 1, n - 1, False))
+                  if s[0] <= s[1]])
+    return plans
+
+
+def _plan_cost(t, route: list[int], arc_pref: list[int], rev_pref: list[int], plan) -> int:
+    """Integer cost of the route a plan builds, from the old route's prefixes."""
+    cost = 0
+    prev = 0
+    for i, j, rev in plan:
+        if rev:
+            cost += t[prev][route[j] + 1] + rev_pref[j] - rev_pref[i]
+            prev = route[i] + 1
+        else:
+            cost += t[prev][route[i] + 1] + arc_pref[j] - arc_pref[i]
+            prev = route[j] + 1
+    return cost + t[prev][0]
+
+
+def _apply_plan(route: list[int], plan) -> list[int]:
+    out: list[int] = []
+    for i, j, rev in plan:
+        seg = route[i : j + 1]
+        out += seg[::-1] if rev else seg
+    return out
+
+
 class _Work:
     """Mutable routes-plus-stats view of one individual during improvement.
 
-    Routes carry a modification counter so sweeps can skip request pairs whose
+    Per-route data lives in parallel lists indexed like ``routes``. Routes
+    carry a modification counter so sweeps can skip request pairs whose
     routes have not changed since the pair was last verified unimproving.
+    ``commit`` never edits a route list in place: it installs new ones, so a
+    route's cached certificate id (``rids``) and insertion tables (``top3``)
+    stay valid until the route is replaced.
     """
 
-    __slots__ = ("ctx", "routes", "stats", "loads", "arc_pref", "load_pref",
-                 "pos", "version", "counter")
+    _PER_ROUTE = ("routes", "stats", "loads", "arc_pref", "load_pref", "rev_pref",
+                  "version", "rids", "top3")
+    __slots__ = _PER_ROUTE + ("ctx", "pos", "counter")
 
     def __init__(self, ctx: EvalContext, routes):
         self.ctx = ctx
-        self.routes = [list(r) for r in routes if r]
-        self.stats = [ctx.eval_route(r) for r in self.routes]
-        self.loads = []
-        self.arc_pref = []
-        self.load_pref = []
-        for r in self.routes:
-            self._build_prefixes(r)
-        self.version = [0] * len(self.routes)
+        for name in self._PER_ROUTE:
+            setattr(self, name, [])
         self.counter = 0
+        for r in routes:
+            if r:
+                self._append(list(r))
         self._rebuild_pos()
 
-    def _build_prefixes(self, route: list[int]) -> None:
+    def _summary(self, route: list[int]):
+        """(stats, load, arc prefix, load prefix, reversed-arc prefix) of a route.
+
+        ``arc_pref[i]`` is the cost from the depot to ``route[i]``;
+        ``rev_pref[i]`` sums the reversed arcs ``route[k] -> route[k-1]`` for
+        k <= i, so a segment traversed backwards costs a prefix difference.
+        """
         t = self.ctx.t
         dem = self.ctx.demand
         arcs: list[int] = []
         lds: list[int] = []
+        rev: list[int] = []
         prev = 0
         acc = 0
+        racc = 0
         load = 0
         for v in route:
-            acc += t[prev][v + 1]
+            m = v + 1
+            acc += t[prev][m]
+            if prev:
+                racc += t[m][prev]
             load += dem[v]
             arcs.append(acc)
             lds.append(load)
-            prev = v + 1
-        self.arc_pref.append(arcs)
-        self.load_pref.append(lds)
-        self.loads.append(load)
+            rev.append(racc)
+            prev = m
+        return self.ctx.eval_route(route), load, arcs, lds, rev
+
+    def _set(self, ri: int, route: list[int]) -> None:
+        self.routes[ri] = route
+        (self.stats[ri], self.loads[ri], self.arc_pref[ri], self.load_pref[ri],
+         self.rev_pref[ri]) = self._summary(route)
+        self.version[ri] = self.counter
+        self.rids[ri] = None
+        self.top3[ri] = {}
+
+    def _append(self, route: list[int]) -> None:
+        for name in self._PER_ROUTE:
+            getattr(self, name).append(None)
+        self._set(len(self.routes) - 1, route)
 
     def _rebuild_pos(self) -> None:
         self.pos = {}
@@ -121,27 +211,17 @@ class _Work:
 
     def commit(self, changes: dict[int, list[int]], new_routes=()) -> None:
         """Replace routes per index (empty list deletes), then append new routes."""
-        ctx = self.ctx
         self.counter += 1
         for ri, visits in changes.items():
-            self.routes[ri] = visits
-            self.stats[ri] = ctx.eval_route(visits) if visits else (0, 0, 0)
-            self.version[ri] = self.counter
+            self._set(ri, visits)
         for visits in new_routes:
             if visits:
-                self.routes.append(list(visits))
-                self.stats.append(ctx.eval_route(visits))
-                self.version.append(self.counter)
-        keep = [i for i, r in enumerate(self.routes) if r]
-        if len(keep) != len(self.routes):
-            self.routes = [self.routes[i] for i in keep]
-            self.stats = [self.stats[i] for i in keep]
-            self.version = [self.version[i] for i in keep]
-        self.arc_pref = []
-        self.load_pref = []
-        self.loads = []
-        for r in self.routes:
-            self._build_prefixes(r)
+                self._append(list(visits))
+        if not all(self.routes):
+            keep = [i for i, r in enumerate(self.routes) if r]
+            for name in self._PER_ROUTE:
+                col = getattr(self, name)
+                setattr(self, name, [col[i] for i in keep])
         self._rebuild_pos()
 
 
@@ -184,20 +264,31 @@ class Population:
         self.feasible: list[Individual] = []
         self.infeasible: list[Individual] = []
         self._sig: dict[int, tuple[frozenset, frozenset[int]]] = {}
+        # Pairwise distances between members, by id(); a member's entries are
+        # dropped when it leaves, before its id can be reused.
+        self._dist: dict[int, dict[int, int]] = {}
         self._cache = None
 
     def members(self) -> list[Individual]:
         return self.feasible + self.infeasible
 
     def distance(self, a: Individual, b: Individual) -> int:
+        row = self._dist.get(id(a))
+        if row is not None and id(b) in row:
+            return row[id(b)]
         pa, sa = self._sig.get(id(a)) or _signature(a)
         pb, sb = self._sig.get(id(b)) or _signature(b)
-        return len(pa ^ pb) + len(sa ^ sb)
+        d = len(pa ^ pb) + len(sa ^ sb)
+        if row is not None and id(b) in self._dist:
+            row[id(b)] = d
+            self._dist[id(b)][id(a)] = d
+        return d
 
     def update(self, ind: Individual, cap_pen: float, tw_pen: float) -> None:
         sub = self.feasible if ind.feasible else self.infeasible
         sub.append(ind)
         self._sig[id(ind)] = _signature(ind)
+        self._dist[id(ind)] = {}
         self._cache = None
         if len(sub) > self.params.mu + self.params.lam:
             self._select_survivors(sub, cap_pen, tw_pen)
@@ -212,12 +303,7 @@ class Population:
             obj_rank[i] = rank
         if k == 1:
             return [0.0]
-        dists = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = self.distance(sub[i], sub[j])
-                dists[i][j] = d
-                dists[j][i] = d
+        dists = self._matrix(sub)
         n_close = min(self.params.n_closest, k - 1)
         div = [
             -sum(sorted(dists[i][j] for j in range(k) if j != i)[:n_close]) / n_close
@@ -229,17 +315,11 @@ class Population:
         w = 1.0 - self.params.elite / k
         return [obj_rank[i] + w * div_rank[i] for i in range(k)]
 
+    def _matrix(self, sub: list[Individual]) -> list[list[int]]:
+        return [[0 if a is b else self.distance(a, b) for b in sub] for a in sub]
+
     def _select_survivors(self, sub: list[Individual], cap_pen: float, tw_pen: float) -> None:
-        dists = {
-            (id(a), id(b)): self.distance(a, b)
-            for i, a in enumerate(sub)
-            for b in sub[i + 1 :]
-        }
-
-        def dist(a, b) -> int:
-            key = (id(a), id(b))
-            return dists[key] if key in dists else dists[(id(b), id(a))]
-
+        dists = self._matrix(sub)
         n_close = self.params.n_closest
         while len(sub) > self.params.mu:
             k = len(sub)
@@ -248,7 +328,7 @@ class Population:
             for rank, i in enumerate(sorted(range(k), key=lambda i: -objs[i])):
                 obj_rank[i] = rank
             div = [
-                -sum(sorted(dist(sub[i], sub[j]) for j in range(k) if j != i)[:n_close])
+                -sum(sorted(dists[i][j] for j in range(k) if j != i)[:n_close])
                 for i in range(k)
             ]
             div_rank = [0] * k
@@ -258,14 +338,19 @@ class Population:
             fitness = [obj_rank[i] + w * div_rank[i] for i in range(k)]
             protected = set(sorted(range(k), key=lambda i: -objs[i])[: max(1, self.params.elite)])
             is_clone = [
-                any(dist(sub[i], sub[j]) == 0 for j in range(k) if j != i) for i in range(k)
+                any(dists[i][j] == 0 for j in range(k) if j != i) for i in range(k)
             ]
             victims = sorted(
                 (i for i in range(k) if i not in protected or is_clone[i]),
                 key=lambda i: (not is_clone[i], -fitness[i]),
             )
             removed = sub.pop(victims[0])
+            dists.pop(victims[0])
+            for row in dists:
+                del row[victims[0]]
             self._sig.pop(id(removed), None)
+            for other in self._dist.pop(id(removed)):
+                self._dist[other].pop(id(removed))
         self._cache = None
 
     def tournament(self, rng: np.random.Generator, cap_pen: float, tw_pen: float) -> Individual:
@@ -306,9 +391,15 @@ class PcHgs:
         self.pop = Population(params)
         self.incumbent: _Incumbent | None = None
         self.iterations = 0
-        self._ls_cap_feas: list[bool] = []
-        self._ls_tw_feas: list[bool] = []
+        # Feasibility of the last adapt_period local-search outputs.
+        self._ls_cap_feas: deque[bool] = deque(maxlen=params.adapt_period)
+        self._ls_tw_feas: deque[bool] = deque(maxlen=params.adapt_period)
         self.trace: list[float] = []
+        # Route certificates (see local_search): interned route tuples, and per
+        # (cap_pen, tw_pen) the ordered pairs of route ids known to be a fixed
+        # point of the pair moves, RELOCATE* and SWAP*.
+        self._route_ids: dict[tuple[int, ...], int] = {}
+        self._certs: dict[tuple[float, float], set[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -475,15 +566,27 @@ class PcHgs:
     # ---------------------------------------------------------- local search
 
     def local_search(self, ind: Individual) -> None:
-        """Improve ``ind`` in place to a fixed point of the full move set."""
+        """Improve ``ind`` in place to a fixed point of the full move set.
+
+        The routes it returns are a fixed point of the pair moves, RELOCATE*
+        and SWAP* under the current penalties, so every ordered pair of them
+        is recorded as certified for those penalties. Each of these moves
+        reads only its own one or two routes and the penalties, so in a later
+        search a move on a certified pair would again find nothing: skipping
+        it is exact, and the search takes the same path. The premise rests on
+        the sweeps' own skips being exact too: they skip a request's moves
+        only on routes unchanged since it last came out of that sweep unmoved.
+        """
         work = _Work(self.ctx, ind.routes)
-        tested: dict[int, int] = {}
-        tested_star: dict[int, int] = {}
+        certs = self._certs.setdefault((self.cap_pen, self.tw_pen), set())
+        seen: tuple[dict, dict, dict] = ({}, {}, {})
         while True:
-            while self._traditional_sweep(work, tested, tested_star):
+            while self._traditional_sweep(work, seen, certs):
                 pass
             if not self._request_set_sweep(work):
                 break
+        ids = [self._route_ids.setdefault(tuple(r), len(self._route_ids)) for r in work.routes]
+        certs.update((a, b) for a in ids for b in ids)
         self._refresh(ind, work)
         self._ls_cap_feas.append(ind.cap_excess == 0)
         self._ls_tw_feas.append(ind.tw_warp == 0)
@@ -500,35 +603,50 @@ class PcHgs:
             finally:
                 self.cap_pen, self.tw_pen = saved
 
-    def _traditional_sweep(self, work: _Work, tested: dict, tested_star: dict) -> bool:
+    def _rid(self, work: _Work, ri: int) -> int:
+        """Interned id of route ri, or -1 when it was never certified. The
+        table only grows when a local search ends, so the cached answer
+        holds for the life of ``work``."""
+        rid = work.rids[ri]
+        if rid is None:
+            rid = work.rids[ri] = self._route_ids.get(tuple(work.routes[ri]), -1)
+        return rid
+
+    def _traditional_sweep(self, work: _Work, seen: tuple, certs: set) -> bool:
+        """One pass of pair moves over every served request, then RELOCATE*
+        and SWAP*. ``seen`` holds one dict per neighbourhood (pair moves,
+        RELOCATE*, SWAP*), mapping a request to the commit counter at which
+        it last came out of that neighbourhood unmoved."""
         improved = False
+        pair_seen, relocate_seen, swap_seen = seen
         order = list(work.pos)
         self.rng.shuffle(order)
-        version = work.version
-        pos = work.pos
         for u in order:
-            if u not in pos:
-                continue
-            seen = tested.get(u, -1)
+            # commit replaces pos and version: read them afresh per request
+            pos = work.pos
+            version = work.version
+            ru = pos[u][0]
+            last = pair_seen.get(u, -1)
+            fresh_u = version[ru] > last
+            cu = self._rid(work, ru) if certs else -1
             clean = True
             for v in self._neighbors[u]:
-                if u not in pos:
-                    clean = False
-                    break
                 pv = pos.get(v)
                 if pv is None:
                     continue
-                if version[pos[u][0]] <= seen and version[pv[0]] <= seen:
+                if not fresh_u and version[pv[0]] <= last:
+                    continue
+                if cu >= 0 and (cu, self._rid(work, pv[0])) in certs:
                     continue
                 if self._try_pair_moves(work, u, v):
                     improved = True
                     clean = False
                     break
-            if clean and u in pos:
-                tested[u] = work.counter
-        if self._relocate_star(work, tested_star):
+            if clean:
+                pair_seen[u] = work.counter
+        if self._relocate_star(work, relocate_seen, certs):
             improved = True
-        if self._swap_star(work, tested_star):
+        if self._swap_star(work, swap_seen, certs):
             improved = True
         return improved
 
@@ -561,61 +679,34 @@ class PcHgs:
             return self._try_same_route_moves(work, u, v)
         return self._try_cross_route_moves(work, u, v)
 
+    def _try_pair_moves(self, work: _Work, u: int, v: int) -> bool:
+        if work.pos[u][0] == work.pos[v][0]:
+            return self._try_same_route_moves(work, u, v)
+        return self._try_cross_route_moves(work, u, v)
+
     def _try_same_route_moves(self, work: _Work, u: int, v: int) -> bool:
-        """Moves with index interference are checked by bounded walks directly."""
+        """Relocations, block swaps and 2-opt of (u, v) within one route.
+
+        Every move reorders segments of the route, so the candidate's integer
+        cost follows from the arc prefixes without building it. The load is
+        unchanged, so ``new_cost + cap_pen * cap_excess`` bounds the penalized
+        cost from below, summed in the order ``penalized_bounded`` sums it:
+        a candidate this bound rejects is one the walk would reject too.
+        """
         ru, pu = work.pos[u]
-        _, pv = work.pos[v]
+        pv = work.pos[v][1]
         route = work.routes[ru]
-
-        def relocate(moved: list[int], before: bool) -> bool:
-            if v in moved:
-                return False
-            src = [x for x in route if x not in moved]
-            at = src.index(v) + (0 if before else 1)
-            return self._try_candidate(work, {ru: src[:at] + moved + src[at:]})
-
-        succ_u = route[pu + 1] if pu + 1 < len(route) else None
-        succ_v = route[pv + 1] if pv + 1 < len(route) else None
-        if relocate([u], before=False):
-            return True
-        if relocate([u], before=True):
-            return True
-        if succ_u is not None and succ_u != v:
-            if relocate([u, succ_u], before=False):
-                return True
-            if relocate([succ_u, u], before=False):
-                return True
-        blocks = [([u], [v])]
-        if succ_u is not None and succ_u != v:
-            blocks.append(([u, succ_u], [v]))
-            if succ_v is not None and succ_v not in (u, succ_u):
-                blocks.append(([u, succ_u], [v, succ_v]))
-        for block_u, block_v in blocks:
-            if set(block_u) & set(block_v):
+        t = self.ctx.t
+        arc_pref = work.arc_pref[ru]
+        rev_pref = work.rev_pref[ru]
+        cap_term = self.cap_pen * work.stats[ru][1]
+        bound = work.route_pen(ru, self.cap_pen, self.tw_pen) - _EPS
+        for plan in _same_route_plans(len(route), pu, pv):
+            if _plan_cost(t, route, arc_pref, rev_pref, plan) + cap_term >= bound:
                 continue
-            iu = route.index(block_u[0])
-            iv = route.index(block_v[0])
-            if iu < iv and iu + len(block_u) > iv:
-                continue
-            if iv < iu and iv + len(block_v) > iu:
-                continue
-            out: list[int] = []
-            i = 0
-            while i < len(route):
-                if i == iu:
-                    out.extend(block_v)
-                    i += len(block_u)
-                elif i == iv:
-                    out.extend(block_u)
-                    i += len(block_v)
-                else:
-                    out.append(route[i])
-                    i += 1
-            if self._try_candidate(work, {ru: out}):
+            if self._try_candidate(work, {ru: _apply_plan(route, plan)}):
                 return True
-        lo, hi = (pu, pv) if pu < pv else (pv, pu)
-        rev = route[:lo] + route[lo : hi + 1][::-1] + route[hi + 1 :]
-        return self._try_candidate(work, {ru: rev})
+        return False
 
     def _try_cross_route_moves(self, work: _Work, u: int, v: int) -> bool:
         """Cross-route moves: O(1) cost/load screening, then a bounded walk.
@@ -783,8 +874,13 @@ class PcHgs:
                 return True
         return False
 
-    def _relocate_star(self, work: _Work, tested_star: dict) -> bool:
-        """Move single requests to their arc-cheapest slot in another (or new) route."""
+    def _relocate_star(self, work: _Work, seen: dict, certs: set) -> bool:
+        """Move single requests to their arc-cheapest slot in another (or new) route.
+
+        A target is skipped when it and u's route are unchanged since u last
+        came out of this sweep unmoved, or when the pair is certified: it was
+        tested unimproving on identical routes.
+        """
         improved = False
         ctx = self.ctx
         t = ctx.t
@@ -792,25 +888,26 @@ class PcHgs:
         dem = ctx.demand
         cap_pen, tw_pen = self.cap_pen, self.tw_pen
         for u in list(work.pos):
-            if u not in work.pos:
-                continue
-            if tested_star.get(("r", u), -1) >= work.counter:
-                continue
-            tested_star[("r", u)] = work.counter
             ru, pu = work.pos[u]
+            version = work.version
+            last = seen.get(u, -1)
+            fresh_u = version[ru] > last
             src_route = work.routes[ru]
-            src_new = src_route[:pu] + src_route[pu + 1 :]
+            src_new = None
             um = u + 1
             a_u = src_route[pu - 1] + 1 if pu > 0 else 0
             b_u = src_route[pu + 1] + 1 if pu + 1 < len(src_route) else 0
             src_cost = work.stats[ru][0] - (t[a_u][um] + t[um][b_u] - t[a_u][b_u])
             src_load = work.loads[ru] - dem[u]
             old_u = work.route_pen(ru, cap_pen, tw_pen)
+            cu = self._rid(work, ru) if certs else -1
             best = None
             for rv, route in enumerate(work.routes):
-                if rv == ru:
+                if rv == ru or (not fresh_u and version[rv] <= last):
                     continue
-                cand, ins_arc = self._cheapest_arc_insert(route, u)
+                if cu >= 0 and (cu, self._rid(work, rv)) in certs:
+                    continue
+                ins_arc, gap = self._top3(work, rv, u)[0]
                 lb = src_cost + work.stats[rv][0] + ins_arc
                 new_load_v = work.loads[rv] + dem[u]
                 if src_load > cap:
@@ -820,19 +917,24 @@ class PcHgs:
                 old = old_u + work.route_pen(rv, cap_pen, tw_pen)
                 if lb >= old - _EPS:
                     continue
+                if src_new is None:
+                    src_new = src_route[:pu] + src_route[pu + 1 :]
                 pen_src = ctx.penalized_bounded(src_new, cap_pen, tw_pen, old) if src_new else 0.0
                 if pen_src is None:
                     continue
+                cand = route[:gap] + [u] + route[gap:]
                 pen_cand = ctx.penalized_bounded(cand, cap_pen, tw_pen, old - pen_src - _EPS)
                 if pen_cand is None:
                     continue
                 delta = pen_src + pen_cand - old
                 if best is None or delta < best[0]:
                     best = (delta, rv, cand)
-            if len(src_route) > 1:
+            if len(src_route) > 1 and fresh_u and (cu < 0 or (cu, cu) not in certs):
                 old = old_u
                 lb = src_cost + t[0][um] + t[um][0]
                 if lb < old - _EPS:
+                    if src_new is None:
+                        src_new = src_route[:pu] + src_route[pu + 1 :]
                     pen_src = ctx.penalized_bounded(src_new, cap_pen, tw_pen, old) if src_new else 0.0
                     if pen_src is not None:
                         pen_cand = ctx.penalized_bounded([u], cap_pen, tw_pen, old - pen_src - _EPS)
@@ -847,10 +949,17 @@ class PcHgs:
                 else:
                     work.commit({ru: src_new, rv: cand})
                 improved = True
+            else:
+                seen[u] = work.counter
         return improved
 
-    def _swap_star(self, work: _Work, tested_star: dict) -> bool:
-        """Exchange two requests across routes, each at its arc-cheapest slot."""
+    def _swap_star(self, work: _Work, seen: dict, certs: set) -> bool:
+        """Exchange two requests across routes, each at its arc-cheapest slot.
+
+        Pairs are skipped as in ``_relocate_star``. Insertion detours come
+        from the per-route top-3 tables, and candidate lists are built only
+        for pairs whose arc lower bound passes.
+        """
         improved = False
         ctx = self.ctx
         t = ctx.t
@@ -858,19 +967,19 @@ class PcHgs:
         dem = ctx.demand
         cap_pen, tw_pen = self.cap_pen, self.tw_pen
         for u in list(work.pos):
-            if u not in work.pos:
-                continue
-            if tested_star.get(("s", u), -1) >= work.counter:
-                continue
-            tested_star[("s", u)] = work.counter
+            ru, pu = work.pos[u]
+            version = work.version
+            last = seen.get(u, -1)
+            fresh_u = version[ru] > last
+            cu = self._rid(work, ru) if certs else -1
+            clean = True
             for v in self._neighbors[u]:
-                if u not in work.pos:
-                    break
                 if v not in work.pos:
                     continue
-                ru, pu = work.pos[u]
                 rv, pv = work.pos[v]
-                if ru == rv:
+                if rv == ru or (not fresh_u and version[rv] <= last):
+                    continue
+                if cu >= 0 and (cu, self._rid(work, rv)) in certs:
                     continue
                 route_u = work.routes[ru]
                 route_v = work.routes[rv]
@@ -879,12 +988,10 @@ class PcHgs:
                 b_u = route_u[pu + 1] + 1 if pu + 1 < len(route_u) else 0
                 a_v = route_v[pv - 1] + 1 if pv > 0 else 0
                 b_v = route_v[pv + 1] + 1 if pv + 1 < len(route_v) else 0
-                without_u = route_u[:pu] + route_u[pu + 1 :]
-                without_v = route_v[:pv] + route_v[pv + 1 :]
                 cost_wu = work.stats[ru][0] - (t[a_u][um] + t[um][b_u] - t[a_u][b_u])
                 cost_wv = work.stats[rv][0] - (t[a_v][vm] + t[vm][b_v] - t[a_v][b_v])
-                cand_u, ins_v = self._cheapest_arc_insert(without_u, v)
-                cand_v, ins_u = self._cheapest_arc_insert(without_v, u)
+                gap_u, ins_v = self._insert_without(work, ru, pu, v)
+                gap_v, ins_u = self._insert_without(work, rv, pv, u)
                 lb = cost_wu + ins_v + cost_wv + ins_u
                 load_u = work.loads[ru] - dem[u] + dem[v]
                 load_v = work.loads[rv] - dem[v] + dem[u]
@@ -895,33 +1002,63 @@ class PcHgs:
                 old = work.route_pen(ru, cap_pen, tw_pen) + work.route_pen(rv, cap_pen, tw_pen)
                 if lb >= old - _EPS:
                     continue
+                cand_u = route_u[:pu] + route_u[pu + 1 :]
+                cand_u.insert(gap_u, v)
                 pen_u = ctx.penalized_bounded(cand_u, cap_pen, tw_pen, old - _EPS)
                 if pen_u is None:
                     continue
+                cand_v = route_v[:pv] + route_v[pv + 1 :]
+                cand_v.insert(gap_v, u)
                 pen_v = ctx.penalized_bounded(cand_v, cap_pen, tw_pen, old - pen_u - _EPS)
                 if pen_v is None:
                     continue
                 work.commit({ru: cand_u, rv: cand_v})
                 improved = True
+                clean = False
                 break
+            if clean:
+                seen[u] = work.counter
         return improved
 
-    def _cheapest_arc_insert(self, route: list[int], r: int) -> tuple[list[int], int]:
-        """Insert r at the position with the smallest arc detour; returns
-        (new visit list, detour)."""
+    def _top3(self, work: _Work, ri: int, x: int) -> list[tuple[int, int]]:
+        """The three cheapest arc insertions of x into route ri, as sorted
+        (detour, gap) pairs; gap g inserts before ``route[g]``. Cached on
+        ``work`` until the route is replaced."""
+        cache = work.top3[ri]
+        top = cache.get(x)
+        if top is None:
+            t = self.ctx.t
+            route = work.routes[ri]
+            xm = x + 1
+            prev = 0
+            opts = []
+            for g in range(len(route) + 1):
+                nxt = route[g] + 1 if g < len(route) else 0
+                opts.append((t[prev][xm] + t[xm][nxt] - t[prev][nxt], g))
+                prev = nxt
+            opts.sort()
+            top = cache[x] = opts[:3]
+        return top
+
+    def _insert_without(self, work: _Work, ri: int, p: int, x: int) -> tuple[int, int]:
+        """Cheapest arc insertion of x into route ri minus its visit at p:
+        (gap in the shortened route, detour), ties to the lowest gap.
+
+        Removing the visit destroys gaps p and p + 1 and opens one merged gap,
+        so the first surviving entry of the top-3 table is the best old gap.
+        """
+        route = work.routes[ri]
         t = self.ctx.t
-        rm = r + 1
-        prev = 0
-        best_arc = None
-        best_pi = 0
-        for pi in range(len(route) + 1):
-            nxt = route[pi] + 1 if pi < len(route) else 0
-            arc = t[prev][rm] + t[rm][nxt] - t[prev][nxt]
-            if best_arc is None or arc < best_arc:
-                best_arc = arc
-                best_pi = pi
-            prev = nxt
-        return route[:best_pi] + [r] + route[best_pi:], int(best_arc)
+        a = route[p - 1] + 1 if p > 0 else 0
+        b = route[p + 1] + 1 if p + 1 < len(route) else 0
+        xm = x + 1
+        merged = t[a][xm] + t[xm][b] - t[a][b]
+        for detour, g in self._top3(work, ri, x):
+            if g < p:
+                return (g, detour) if detour <= merged else (p, merged)
+            if g > p + 1:
+                return (g - 1, detour) if detour < merged else (p, merged)
+        return p, merged
 
     def _request_set_sweep(self, work: _Work) -> bool:
         """serve-request / remove-request neighborhoods (prize-aware)."""
@@ -1070,8 +1207,8 @@ class PcHgs:
 
     def _adapt_penalties(self) -> None:
         p = self.params
-        cap_window = self._ls_cap_feas[-p.adapt_period :]
-        tw_window = self._ls_tw_feas[-p.adapt_period :]
+        cap_window = self._ls_cap_feas
+        tw_window = self._ls_tw_feas
         if not cap_window:
             return
         frac_cap = sum(cap_window) / len(cap_window)
@@ -1223,10 +1360,3 @@ def optimize_request_set(
     engine, out = _transient(inst, params, ind)
     engine.optimize_request_set(out, perturb=perturb)
     return out
-
-
-def update_population(
-    pop: Population, new: Individual, params: HgsParams, cap_pen: float = 1.0, tw_pen: float = 1.0
-) -> Population:
-    pop.update(new, cap_pen, tw_pen)
-    return pop

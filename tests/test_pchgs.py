@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynroute.instance import generate_instance
 from dynroute.pchgs import (
@@ -17,7 +18,14 @@ from dynroute.pchgs import (
     srex_crossover,
 )
 from dynroute.pchgs.evaluate import EvalContext
-from dynroute.pchgs.solver import PcHgs, Population
+from dynroute.pchgs.solver import (
+    PcHgs,
+    Population,
+    _Work,
+    _apply_plan,
+    _plan_cost,
+    _same_route_plans,
+)
 
 from helpers import pc_from_static, random_pc, square_instance
 
@@ -290,6 +298,195 @@ def test_local_search_reaches_fixed_point():
     p1 = once.penalized_objective(engine.cap_pen, engine.tw_pen)
     p2 = twice.penalized_objective(engine.cap_pen, engine.tw_pen)
     assert abs(p1 - p2) <= 1e-9
+
+
+def mandatory_release_pc(n: int, seed: int) -> PcInstance:
+    """Every request forced in, tight windows, releases on a 20-minute grid
+    (clipped so each request stays servable on its own route)."""
+    base = generate_instance(n, seed=seed, horizon=20_000, window_width=(1_800, 5_400))
+    rng = np.random.default_rng(seed + 1)
+    release = []
+    for r in range(1, n + 1):
+        latest = base.tw[r][1] - int(base.travel[0, r])
+        release.append(min(int(rng.choice([0, 1200, 2400, 3600])), max(0, latest)))
+    return pc_from_static(
+        base, prizes=[0.0] * n, forced_in=range(n), release=tuple(release)
+    )
+
+
+def assert_fixed_point(engine: PcHgs, ind) -> None:
+    """No pair move, RELOCATE* or SWAP* improves ind under engine's
+    penalties, checked by a fresh engine that holds no route certificates."""
+    probe = PcHgs(engine.inst, engine.params)
+    probe.cap_pen, probe.tw_pen = engine.cap_pen, engine.tw_pen
+    work = _Work(probe.ctx, ind.routes)
+    for u in list(work.pos):
+        for v in probe._neighbors[u]:
+            if v in work.pos:
+                assert not probe._try_pair_moves(work, u, v), (u, v)
+    assert not probe._relocate_star(work, {}, set())
+    assert not probe._swap_star(work, {}, set())
+
+
+@pytest.mark.parametrize("mode", ["prize", "mandatory"])
+def test_local_search_output_is_fixed_point_of_route_moves(mode):
+    # several searches per engine, so later ones run with certificates that
+    # earlier ones recorded; the 10x repair penalties add a second key
+    for seed in (0, 1, 2):
+        pc = random_pc(14, seed=600 + seed) if mode == "prize" else mandatory_release_pc(14, 610 + seed)
+        engine = PcHgs(pc, small_params(seed=seed))
+        for _ in range(4):
+            ind = engine._random_individual()
+            engine.local_search(ind)
+            assert_fixed_point(engine, ind)
+            saved = engine.cap_pen, engine.tw_pen
+            engine.cap_pen, engine.tw_pen = saved[0] * 10.0, saved[1] * 10.0
+            engine.local_search(ind)
+            assert_fixed_point(engine, ind)
+            engine.cap_pen, engine.tw_pen = saved
+        assert engine._certs
+
+
+def matrix_pc(travel: np.ndarray) -> PcInstance:
+    n = travel.shape[0] - 1
+    return PcInstance(
+        travel=travel, demand=(1,) * n, service=(0,) * n, tw_open=(0,) * n,
+        tw_close=(10_000,) * n, prizes=(0.0,) * n, capacity=n, departure=0,
+        horizon=10_000,
+    )
+
+
+def reference_arc_insert(t, route, r):
+    """Left-to-right scan for the smallest arc detour of inserting r; the
+    first gap wins ties. Returns (gap, detour)."""
+    prev = 0
+    best = None
+    for pi in range(len(route) + 1):
+        nxt = route[pi] + 1 if pi < len(route) else 0
+        arc = t[prev][r + 1] + t[r + 1][nxt] - t[prev][nxt]
+        if best is None or arc < best[1]:
+            best = (pi, arc)
+        prev = nxt
+    return best
+
+
+@st.composite
+def small_matrix_route(draw, min_len=1):
+    """An asymmetric small-integer travel matrix (many ties) and a route over
+    some of its requests."""
+    n = draw(st.integers(min_len + 1, 9))
+    cells = draw(st.lists(st.integers(0, 6), min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    travel = np.array(cells, dtype=np.int64).reshape(n + 1, n + 1)
+    np.fill_diagonal(travel, 0)
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(min_len, n - 1))
+    return travel, list(order[:k]), list(order[k:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrix_route(), st.data())
+def test_top3_insertion_matches_cheapest_arc_scan(case, data):
+    travel, route, outside = case
+    engine = PcHgs(matrix_pc(travel), HgsParams(budget_iters=1))
+    t = engine.ctx.t
+    work = _Work(engine.ctx, [route])
+    x = data.draw(st.sampled_from(outside))
+    detour, gap = engine._top3(work, 0, x)[0]
+    assert (gap, detour) == reference_arc_insert(t, route, x)
+    p = data.draw(st.integers(0, len(route) - 1))
+    shortened = route[:p] + route[p + 1 :]
+    assert engine._insert_without(work, 0, p, x) == reference_arc_insert(t, shortened, x)
+
+
+def reference_same_route_candidates(route, u, v):
+    """The same-route candidates of (u, v), built list by list, in the
+    order the moves are tried."""
+    pu, pv = route.index(u), route.index(v)
+    out = []
+
+    def relocate(moved, before):
+        src = [x for x in route if x not in moved]
+        at = src.index(v) + (0 if before else 1)
+        out.append(src[:at] + moved + src[at:])
+
+    succ_u = route[pu + 1] if pu + 1 < len(route) else None
+    succ_v = route[pv + 1] if pv + 1 < len(route) else None
+    relocate([u], before=False)
+    relocate([u], before=True)
+    if succ_u is not None and succ_u != v:
+        relocate([u, succ_u], before=False)
+        relocate([succ_u, u], before=False)
+    blocks = [([u], [v])]
+    if succ_u is not None and succ_u != v:
+        blocks.append(([u, succ_u], [v]))
+        if succ_v is not None and succ_v not in (u, succ_u):
+            blocks.append(([u, succ_u], [v, succ_v]))
+    for block_u, block_v in blocks:
+        iu, iv = route.index(block_u[0]), route.index(block_v[0])
+        swapped, i = [], 0
+        while i < len(route):
+            if i == iu:
+                swapped.extend(block_v)
+                i += len(block_u)
+            elif i == iv:
+                swapped.extend(block_u)
+                i += len(block_v)
+            else:
+                swapped.append(route[i])
+                i += 1
+        out.append(swapped)
+    lo, hi = min(pu, pv), max(pu, pv)
+    out.append(route[:lo] + route[lo : hi + 1][::-1] + route[hi + 1 :])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrix_route(min_len=2), st.data())
+def test_same_route_arc_deltas_match_built_candidates(case, data):
+    travel, route, _ = case
+    ctx = EvalContext(matrix_pc(travel))
+    work = _Work(ctx, [route])
+    pu, pv = data.draw(st.lists(st.integers(0, len(route) - 1), min_size=2, max_size=2, unique=True))
+    plans = _same_route_plans(len(route), pu, pv)
+    candidates = [_apply_plan(route, plan) for plan in plans]
+    assert candidates == reference_same_route_candidates(route, route[pu], route[pv])
+    base = ctx.route_cost(route)
+    for plan, cand in zip(plans, candidates):
+        delta = _plan_cost(ctx.t, route, work.arc_pref[0], work.rev_pref[0], plan) - base
+        assert delta == ctx.route_cost(cand) - base
+
+
+# Outputs recorded before the route certificates, top-3 insertion tables and
+# O(1) move bounds went in; iteration-budget outputs must stay byte-identical.
+GOLDEN_PARAMS = dict(budget_iters=60, stall_iters=25, init_pool=12)
+GOLDEN = {
+    ("prize", 0): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 31),
+    ("prize", 1): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 52),
+    ("prize", 2): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 46),
+    ("mandatory", 0): (
+        ((7, 22, 3, 10, 17, 8), (12, 13, 20, 19), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
+         (24, 2, 18, 1, 9)),
+        -8522.0, 50,
+    ),
+    ("mandatory", 1): (
+        ((7, 22, 3, 10, 17, 8), (12, 11, 20, 0, 19), (13, 24, 2, 18, 1, 9), (14,),
+         (15, 6, 16, 5, 4), (23, 21)),
+        -8555.0, 25,
+    ),
+    ("mandatory", 2): (
+        ((7, 22, 3, 10, 17, 8), (12, 13, 20, 19), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
+         (24, 2, 18, 1, 9)),
+        -8522.0, 26,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_solve_golden_outputs(key):
+    mode, seed = key
+    pc = random_pc(25, seed=501) if mode == "prize" else mandatory_release_pc(25, 502)
+    sol = solve(pc, HgsParams(seed=seed, **GOLDEN_PARAMS))
+    assert (sol.routes, sol.objective, sol.iterations) == GOLDEN[key]
 
 
 def test_local_search_never_worsens():
