@@ -150,32 +150,47 @@ def evaluate_route(
     for r in route:
         if not (0 < r < n):
             raise IndexError(f"visit index {r} out of range (1..{n - 1})")
+    rows = [(r, inst.demand[r], inst.service[r], *inst.tw[r]) for r in route]
+    return _walk_route(inst, route, rows, departure, "visit")
 
+
+def _walk_route(
+    inst: StaticInstance,
+    route: Sequence[int],
+    rows: Sequence[tuple[int, int, int, int, int]],
+    departure: int,
+    noun: str,
+) -> RouteTiming | RouteViolation:
+    """The strict walk behind ``evaluate_route`` and decision validation.
+
+    ``rows`` holds each visit's (location, demand, service, tw_open,
+    tw_close); violation details name a visit as ``f"{noun} {route[pos]}"``.
+    Travel, capacity and horizon come from ``inst``.
+    """
     travel = inst.travel
     time = departure
     load = 0
     prev = 0
     begins: list[int] = []
-    for pos, r in enumerate(route):
-        time += int(travel[prev, r])
-        open_, close = inst.tw[r]
+    for pos, (loc, demand, service, open_, close) in enumerate(rows):
+        time += int(travel[prev, loc])
         begin = max(time, open_)
         if begin > close:
             return RouteViolation(
                 kind="time_window",
                 position=pos,
-                detail=f"visit {r}: service would start at {begin} > close {close}",
+                detail=f"{noun} {route[pos]}: service would start at {begin} > close {close}",
             )
-        load += inst.demand[r]
+        load += demand
         if load > inst.capacity:
             return RouteViolation(
                 kind="capacity",
                 position=pos,
-                detail=f"visit {r}: cumulative load {load} > capacity {inst.capacity}",
+                detail=f"{noun} {route[pos]}: cumulative load {load} > capacity {inst.capacity}",
             )
         begins.append(begin)
-        time = begin + inst.service[r]
-        prev = r
+        time = begin + service
+        prev = loc
     time += int(travel[prev, 0])
     if time > inst.horizon:
         return RouteViolation(

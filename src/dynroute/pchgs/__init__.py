@@ -8,16 +8,7 @@ from .types import (
 )
 from .evaluate import EvalContext
 from .brute import ExactSolver, brute_force_solve
-from .solver import (
-    PcHgs,
-    Population,
-    local_search,
-    mutate_random_remove_insert,
-    optimize_request_set,
-    preprocess,
-    solve,
-    srex_crossover,
-)
+from .solver import PcHgs, Population, preprocess, solve
 
 __all__ = [
     "EvalContext",
@@ -31,10 +22,6 @@ __all__ = [
     "PcSolution",
     "Population",
     "brute_force_solve",
-    "local_search",
-    "mutate_random_remove_insert",
-    "optimize_request_set",
     "preprocess",
     "solve",
-    "srex_crossover",
 ]

@@ -2,12 +2,17 @@
 
 Infeasible routes are measured, not rejected: when service would start after
 a window closes, time warps back to the close and the overshoot accumulates.
-Arriving at the depot after the horizon adds to the warp as well. A route is
-feasible iff its warp and capacity excess are both zero; for feasible routes
-the timings agree with the strict evaluator in ``dynroute.instance``.
+Arriving at the depot after the horizon adds to the warp as well. A route
+leaves at the latest of the departure and its visits' release times.
+``EvalContext.eval_route`` is the solver's one relaxed walk; the penalized
+costs wrap it, and a bound lets it stop as soon as the route cannot beat it.
+A route is feasible iff its warp and capacity excess are both zero, exactly
+when the strict walk in ``dynroute.instance`` accepts it.
 """
 
 from __future__ import annotations
+
+import math
 
 from .types import PcInstance
 
@@ -19,8 +24,8 @@ class EvalContext:
     """
 
     __slots__ = (
-        "t", "demand", "service", "open", "close", "prizes",
-        "capacity", "departure", "horizon", "release", "n",
+        "t", "demand", "service", "open", "close",
+        "capacity", "departure", "horizon", "release",
     )
 
     def __init__(self, inst: PcInstance):
@@ -29,12 +34,10 @@ class EvalContext:
         self.service = list(inst.service)
         self.open = list(inst.tw_open)
         self.close = list(inst.tw_close)
-        self.prizes = list(inst.prizes)
         self.capacity = inst.capacity
         self.departure = inst.departure
         self.horizon = inst.horizon
         self.release = list(inst.release) if inst.release is not None else None
-        self.n = inst.n_requests
 
     def route_departure(self, visits) -> int:
         dep = self.departure
@@ -45,60 +48,16 @@ class EvalContext:
                     dep = rel
         return dep
 
-    def eval_route(self, visits) -> tuple[int, int, int]:
-        """Return (cost, cap_excess, tw_warp) for one visit sequence."""
+    def eval_route(self, visits, tw_pen: float = 0.0, bound: float = math.inf):
+        """Return (cost, cap_excess, tw_warp) for one visit sequence, or None
+        once ``cost + tw_pen * warp`` reaches ``bound`` partway along it. That
+        running sum only grows along the walk, so a caller whose total adds a
+        non-negative capacity term can abort on it exactly."""
         t = self.t
         open_ = self.open
         close = self.close
         service = self.service
         demand = self.demand
-        time = self.route_departure(visits)
-        cost = 0
-        load = 0
-        warp = 0
-        prev = 0
-        for v in visits:
-            m = v + 1
-            cost += t[prev][m]
-            time += t[prev][m]
-            o = open_[v]
-            if time < o:
-                time = o
-            c = close[v]
-            if time > c:
-                warp += time - c
-                time = c
-            time += service[v]
-            load += demand[v]
-            prev = m
-        cost += t[prev][0]
-        time += t[prev][0]
-        if time > self.horizon:
-            warp += time - self.horizon
-        cap_excess = load - self.capacity
-        if cap_excess < 0:
-            cap_excess = 0
-        return cost, cap_excess, warp
-
-    def route_cost(self, visits) -> int:
-        t = self.t
-        prev = 0
-        cost = 0
-        for v in visits:
-            cost += t[prev][v + 1]
-            prev = v + 1
-        return cost + t[prev][0]
-
-    def penalized_bounded(self, visits, cap_pen: float, tw_pen: float, bound: float):
-        """Penalized cost of a visit sequence, or None once it provably reaches
-        ``bound``. The running sum only grows along the walk, so aborting early
-        is exact."""
-        t = self.t
-        open_ = self.open
-        close = self.close
-        service = self.service
-        demand = self.demand
-        cap = self.capacity
         time = self.route_departure(visits)
         cost = 0
         load = 0
@@ -125,24 +84,29 @@ class EvalContext:
         time += t[prev][0]
         if time > self.horizon:
             warp += time - self.horizon
-        cap_excess = load - cap
+        cap_excess = load - self.capacity
         if cap_excess < 0:
             cap_excess = 0
+        return cost, cap_excess, warp
+
+    def route_cost(self, visits) -> int:
+        t = self.t
+        prev = 0
+        cost = 0
+        for v in visits:
+            cost += t[prev][v + 1]
+            prev = v + 1
+        return cost + t[prev][0]
+
+    def penalized_bounded(self, visits, cap_pen: float, tw_pen: float, bound: float):
+        """Penalized cost of a visit sequence, or None when it reaches ``bound``."""
+        walked = self.eval_route(visits, tw_pen, bound)
+        if walked is None:
+            return None
+        cost, cap_excess, warp = walked
         total = cost + cap_pen * cap_excess + tw_pen * warp
         return None if total >= bound else total
 
     def penalized(self, visits, cap_pen: float, tw_pen: float) -> float:
         cost, cap, warp = self.eval_route(visits)
         return cost + cap_pen * cap + tw_pen * warp
-
-    def is_feasible_alone(self, r: int, departure: int | None = None) -> bool:
-        dep = self.departure if departure is None else departure
-        if self.release is not None and self.release[r] > dep:
-            dep = self.release[r]
-        arrive = dep + self.t[0][r + 1]
-        begin = max(arrive, self.open[r])
-        if begin > self.close[r]:
-            return False
-        if begin + self.service[r] + self.t[r + 1][0] > self.horizon:
-            return False
-        return self.demand[r] <= self.capacity

@@ -224,6 +224,19 @@ class _Work:
                 setattr(self, name, [col[i] for i in keep])
         self._rebuild_pos()
 
+    def insert(self, r: int, ri: int, pi: int) -> None:
+        """Insert r before position pi of route ri; ri < 0 opens a new route."""
+        if ri < 0:
+            self.commit({}, [[r]])
+        else:
+            route = self.routes[ri]
+            self.commit({ri: route[:pi] + [r] + route[pi:]})
+
+    def remove(self, r: int) -> None:
+        ri, pi = self.pos[r]
+        route = self.routes[ri]
+        self.commit({ri: route[:pi] + route[pi + 1 :]})
+
 
 @dataclass
 class _Incumbent:
@@ -293,50 +306,39 @@ class Population:
         if len(sub) > self.params.mu + self.params.lam:
             self._select_survivors(sub, cap_pen, tw_pen)
 
-    def _fitness(self, sub: list[Individual], cap_pen: float, tw_pen: float) -> list[float]:
+    def _ranked(self, sub: list[Individual], dists, cap_pen: float, tw_pen: float):
+        """Biased fitness of each member (lower is better), and the members
+        from best to worst objective.
+
+        Fitness is the objective rank plus ``1 - elite/k`` times the diversity
+        rank; diversity is the summed distance to the ``n_closest`` nearest
+        other members, larger ranking better.
+        """
         k = len(sub)
         if k == 0:
-            return []
+            return [], []
+        n_close = self.params.n_closest
         objs = [ind.penalized_objective(cap_pen, tw_pen) for ind in sub]
+        div = [-sum(sorted(dists[i][j] for j in range(k) if j != i)[:n_close]) for i in range(k)]
+        by_obj = sorted(range(k), key=lambda i: -objs[i])
         obj_rank = [0] * k
-        for rank, i in enumerate(sorted(range(k), key=lambda i: -objs[i])):
-            obj_rank[i] = rank
-        if k == 1:
-            return [0.0]
-        dists = self._matrix(sub)
-        n_close = min(self.params.n_closest, k - 1)
-        div = [
-            -sum(sorted(dists[i][j] for j in range(k) if j != i)[:n_close]) / n_close
-            for i in range(k)
-        ]
         div_rank = [0] * k
+        for rank, i in enumerate(by_obj):
+            obj_rank[i] = rank
         for rank, i in enumerate(sorted(range(k), key=lambda i: div[i])):
             div_rank[i] = rank
         w = 1.0 - self.params.elite / k
-        return [obj_rank[i] + w * div_rank[i] for i in range(k)]
+        return [obj_rank[i] + w * div_rank[i] for i in range(k)], by_obj
 
     def _matrix(self, sub: list[Individual]) -> list[list[int]]:
         return [[0 if a is b else self.distance(a, b) for b in sub] for a in sub]
 
     def _select_survivors(self, sub: list[Individual], cap_pen: float, tw_pen: float) -> None:
         dists = self._matrix(sub)
-        n_close = self.params.n_closest
         while len(sub) > self.params.mu:
             k = len(sub)
-            objs = [ind.penalized_objective(cap_pen, tw_pen) for ind in sub]
-            obj_rank = [0] * k
-            for rank, i in enumerate(sorted(range(k), key=lambda i: -objs[i])):
-                obj_rank[i] = rank
-            div = [
-                -sum(sorted(dists[i][j] for j in range(k) if j != i)[:n_close])
-                for i in range(k)
-            ]
-            div_rank = [0] * k
-            for rank, i in enumerate(sorted(range(k), key=lambda i: div[i])):
-                div_rank[i] = rank
-            w = 1.0 - self.params.elite / k
-            fitness = [obj_rank[i] + w * div_rank[i] for i in range(k)]
-            protected = set(sorted(range(k), key=lambda i: -objs[i])[: max(1, self.params.elite)])
+            fitness, by_obj = self._ranked(sub, dists, cap_pen, tw_pen)
+            protected = set(by_obj[: max(1, self.params.elite)])
             is_clone = [
                 any(dists[i][j] == 0 for j in range(k) if j != i) for i in range(k)
             ]
@@ -356,9 +358,10 @@ class Population:
     def tournament(self, rng: np.random.Generator, cap_pen: float, tw_pen: float) -> Individual:
         if self._cache is None:
             pool = self.members()
-            fits = self._fitness(self.feasible, cap_pen, tw_pen) + self._fitness(
-                self.infeasible, cap_pen, tw_pen
-            )
+            fits = [
+                f for sub in (self.feasible, self.infeasible)
+                for f in self._ranked(sub, self._matrix(sub), cap_pen, tw_pen)[0]
+            ]
             self._cache = (pool, fits)
         pool, fits = self._cache
         i = int(rng.integers(0, len(pool)))
@@ -456,7 +459,13 @@ class PcHgs:
     # ------------------------------------------------------------------ split
 
     def split(self, giant: list[int]) -> list[list[int]]:
-        """Penalty-aware linear split of a giant tour into routes."""
+        """Penalty-aware linear split of a giant tour into routes.
+
+        From each start j the route giant[j:i] grows one visit at a time. A
+        visit released after the current departure moves the departure to
+        its release; the walk then restarts at j, and the routes it already
+        scored, which leave earlier, are not scored again.
+        """
         ctx = self.ctx
         n = len(giant)
         if n == 0:
@@ -465,52 +474,37 @@ class PcHgs:
         choice = [0] * (n + 1)
         best[0] = 0.0
         t = ctx.t
+        release = ctx.release
         cap_pen, tw_pen = self.cap_pen, self.tw_pen
         for j in range(n):
             if best[j] == math.inf:
                 continue
-            dep = ctx.departure
-            time = dep
-            load = 0
-            warp = 0
-            cost_to_last = 0
-            prev = 0
-            for i in range(j + 1, n + 1):
-                v = giant[i - 1]
+            dep = time = ctx.departure
+            load = warp = cost_to_last = prev = 0
+            scored = i = j
+            while i < n:
+                v = giant[i]
+                if release is not None and release[v] > dep:
+                    dep = time = release[v]
+                    load = warp = cost_to_last = prev = 0
+                    i = j
+                    continue
                 m = v + 1
-                if ctx.release is not None and ctx.release[v] > dep:
-                    seg = giant[j:i]
-                    dep = ctx.route_departure(seg)
-                    time = dep
-                    load = 0
-                    warp = 0
-                    cost_to_last = 0
-                    prev = 0
-                    for x in seg:
-                        mx = x + 1
-                        arc = t[prev][mx]
-                        cost_to_last += arc
-                        time += arc
-                        if time < ctx.open[x]:
-                            time = ctx.open[x]
-                        if time > ctx.close[x]:
-                            warp += time - ctx.close[x]
-                            time = ctx.close[x]
-                        time += ctx.service[x]
-                        load += ctx.demand[x]
-                        prev = mx
-                else:
-                    arc = t[prev][m]
-                    cost_to_last += arc
-                    time += arc
-                    if time < ctx.open[v]:
-                        time = ctx.open[v]
-                    if time > ctx.close[v]:
-                        warp += time - ctx.close[v]
-                        time = ctx.close[v]
-                    time += ctx.service[v]
-                    load += ctx.demand[v]
-                    prev = m
+                arc = t[prev][m]
+                cost_to_last += arc
+                time += arc
+                if time < ctx.open[v]:
+                    time = ctx.open[v]
+                if time > ctx.close[v]:
+                    warp += time - ctx.close[v]
+                    time = ctx.close[v]
+                time += ctx.service[v]
+                load += ctx.demand[v]
+                prev = m
+                i += 1
+                if i <= scored:
+                    continue
+                scored = i
                 route_cost = cost_to_last + t[prev][0]
                 route_warp = warp + max(0, time + t[prev][0] - ctx.horizon)
                 capex = max(0, load - ctx.capacity)
@@ -548,11 +542,7 @@ class PcHgs:
 
     def _apply_best_insertion(self, work: _Work, r: int) -> float:
         delta, ri, pi = self._best_insertion(work, r)
-        if ri < 0:
-            work.commit({}, [[r]])
-        else:
-            route = work.routes[ri]
-            work.commit({ri: route[:pi] + [r] + route[pi:]})
+        work.insert(r, ri, pi)
         return delta
 
     def _removal_saving(self, work: _Work, r: int) -> float:
@@ -673,11 +663,6 @@ class PcHgs:
             total += pen
         work.commit(changes, new_routes)
         return True
-
-    def _try_pair_moves(self, work: _Work, u: int, v: int) -> bool:
-        if work.pos[u][0] == work.pos[v][0]:
-            return self._try_same_route_moves(work, u, v)
-        return self._try_cross_route_moves(work, u, v)
 
     def _try_pair_moves(self, work: _Work, u: int, v: int) -> bool:
         if work.pos[u][0] == work.pos[v][0]:
@@ -1066,20 +1051,14 @@ class PcHgs:
         for r in sorted(set(self.allowed) - work.served()):
             delta, ri, pi = self._best_insertion(work, r)
             if self.prizes[r] - delta > _EPS:
-                if ri < 0:
-                    work.commit({}, [[r]])
-                else:
-                    route = work.routes[ri]
-                    work.commit({ri: route[:pi] + [r] + route[pi:]})
+                work.insert(r, ri, pi)
                 changed = True
         for r in sorted(work.served()):
             if r in self.forced_in:
                 continue
             saving = self._removal_saving(work, r)
             if saving - self.prizes[r] > _EPS:
-                ri, pi = work.pos[r]
-                route = work.routes[ri]
-                work.commit({ri: route[:pi] + route[pi + 1 :]})
+                work.remove(r)
                 changed = True
         return changed
 
@@ -1124,9 +1103,7 @@ class PcHgs:
             pool = sorted(served - self.forced_in)
             k = min(int(self.params.alpha_rm * len(served)), len(pool))
             for r in (rng.permutation(pool)[:k].tolist() if k > 0 else []):
-                ri, pi = work.pos[r]
-                route = work.routes[ri]
-                work.commit({ri: route[:pi] + route[pi + 1 :]})
+                work.remove(r)
         else:
             pool = sorted(set(self.allowed) - served)
             k = min(int(self.params.alpha_ins * len(pool)), len(pool))
@@ -1151,19 +1128,13 @@ class PcHgs:
             saving = self._removal_saving(work, r)
             factor = float(rng.uniform(lo, hi)) if perturb else 1.0
             if saving * factor > self.prizes[r] + _EPS:
-                ri, pi = work.pos[r]
-                route = work.routes[ri]
-                work.commit({ri: route[:pi] + route[pi + 1 :]})
+                work.remove(r)
                 changed = True
         for r in sorted(set(self.allowed) - work.served()):
             delta, ri, pi = self._best_insertion(work, r)
             factor = float(rng.uniform(lo, hi)) if perturb else 1.0
             if delta * factor < self.prizes[r] - _EPS:
-                if ri < 0:
-                    work.commit({}, [[r]])
-                else:
-                    route = work.routes[ri]
-                    work.commit({ri: route[:pi] + [r] + route[pi:]})
+                work.insert(r, ri, pi)
                 changed = True
         if changed:
             self._refresh(ind, work)
@@ -1272,7 +1243,7 @@ class PcHgs:
         if self.inst.n_requests == 0:
             return PcSolution(routes=(), served=frozenset(), objective=0.0)
         for r in sorted(self.forced_in):
-            if not self.ctx.is_feasible_alone(r):
+            if self.ctx.eval_route([r])[1:] != (0, 0):
                 raise PcInfeasibleError(
                     f"forced-in request {r} cannot be served even on its own route"
                 )
@@ -1319,44 +1290,9 @@ class PcHgs:
         )
 
 
-# ---------------------------------------------------------------- op surface
+# ---------------------------------------------------------------- entry point
 
 
 def solve(inst: PcInstance, params: HgsParams | None = None, warm_start=None) -> PcSolution:
     """Best feasible prize-collecting solution under the given budget."""
     return PcHgs(inst, params).run(warm_start=warm_start)
-
-
-def _transient(inst: PcInstance, params: HgsParams | None, ind: Individual):
-    engine = PcHgs(inst, params)
-    out = Individual(giant=list(ind.giant), routes=[list(r) for r in ind.routes])
-    engine._refresh(out, _Work(engine.ctx, out.routes))
-    return engine, out
-
-
-def local_search(ind: Individual, inst: PcInstance, params: HgsParams | None = None) -> Individual:
-    engine, out = _transient(inst, params, ind)
-    engine.local_search(out)
-    return out
-
-
-def srex_crossover(
-    a: Individual, b: Individual, inst: PcInstance, params: HgsParams | None = None
-) -> Individual:
-    return PcHgs(inst, params).srex_crossover(a, b)
-
-
-def mutate_random_remove_insert(
-    ind: Individual, inst: PcInstance, params: HgsParams | None = None
-) -> Individual:
-    engine, out = _transient(inst, params, ind)
-    engine.mutate_random_remove_insert(out)
-    return out
-
-
-def optimize_request_set(
-    ind: Individual, inst: PcInstance, params: HgsParams | None, perturb: bool
-) -> Individual:
-    engine, out = _transient(inst, params, ind)
-    engine.optimize_request_set(out, perturb=perturb)
-    return out

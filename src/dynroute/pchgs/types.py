@@ -15,9 +15,6 @@ class PcInstanceError(ValueError):
 class PcInfeasibleError(RuntimeError):
     """No feasible solution covering the forced-in requests was found."""
 
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
 
 @dataclass(frozen=True)
 class PcInstance:
@@ -156,7 +153,6 @@ class Individual:
     tw_warp: int = 0
     prize_sum: float = 0.0
     feasible: bool = True
-    fitness: float = 0.0
 
     @property
     def served(self) -> frozenset[int]:

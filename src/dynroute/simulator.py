@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .instance import StaticInstance, RouteViolation, evaluate_route, routing_cost
+from .instance import StaticInstance, RouteViolation, _walk_route, route_cost
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,9 @@ def validate_decision(
                 Violation("overlap", f"ids routed more than once: {sorted(set(dups))}")
             )
         seen.update(route)
-        report = _evaluate_id_route(inst, open_by_id, route, departure)
+        reqs = [open_by_id[i] for i in route]
+        rows = [(r.location, r.demand, r.service, r.tw_open, r.tw_close) for r in reqs]
+        report = _walk_route(inst, route, rows, departure, "id")
         if isinstance(report, RouteViolation):
             violations.append(
                 Violation(report.kind, f"route {list(route)}: {report.detail}")
@@ -244,52 +246,17 @@ def validate_decision(
     return violations
 
 
-def _evaluate_id_route(
-    inst: StaticInstance,
-    open_by_id: dict[int, OpenRequest],
-    route: Sequence[int],
-    departure: int,
-):
-    """Route timing over open-request ids (attributes come from the requests)."""
-    travel = inst.travel
-    time = departure
-    load = 0
-    prev_loc = 0
-    begins: list[int] = []
-    for pos, i in enumerate(route):
-        req = open_by_id[i]
-        time += int(travel[prev_loc, req.location])
-        begin = max(time, req.tw_open)
-        if begin > req.tw_close:
-            return RouteViolation("time_window", pos, f"id {i}: start {begin} > close {req.tw_close}")
-        load += req.demand
-        if load > inst.capacity:
-            return RouteViolation("capacity", pos, f"id {i}: load {load} > capacity {inst.capacity}")
-        begins.append(begin)
-        time = begin + req.service
-        prev_loc = req.location
-    time += int(travel[prev_loc, 0])
-    if time > inst.horizon:
-        return RouteViolation("horizon", None, f"return at {time} > horizon {inst.horizon}")
-    return tuple(begins)
-
-
 def decision_cost(inst: StaticInstance, state: SystemState, decision: Decision) -> int:
     """Arc cost of a decision's routes, resolved through request locations."""
     open_by_id = state.by_id()
-    travel = inst.travel
     total = 0
     seen: set[int] = set()
     for route in decision.routes:
-        prev = 0
         for i in route:
             if i in seen:
                 raise ValueError(f"request id {i} appears in more than one route")
             seen.add(i)
-            loc = open_by_id[i].location
-            total += int(travel[prev, loc])
-            prev = loc
-        total += int(travel[prev, 0])
+        total += route_cost(inst, [open_by_id[i].location for i in route])
     return total
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from dynroute.instance import StaticInstance, generate_instance
@@ -31,6 +33,18 @@ def square_instance() -> StaticInstance:
         capacity=10,
         horizon=1000,
     )
+    inst.validate()
+    return inst
+
+
+def tight_instance(seed: int) -> StaticInstance:
+    """10 requests, small capacity and narrow windows; every even row's window
+    is the last 2,000 s of the horizon, so that routes break each of the time
+    window, capacity and horizon rules."""
+    base = generate_instance(10, seed=seed, horizon=12_000, capacity=15, window_width=(600, 3_000))
+    late = (base.horizon - 2_000, base.horizon)
+    tw = tuple(late if r and r % 2 == 0 else w for r, w in enumerate(base.tw))
+    inst = dataclasses.replace(base, tw=tw)
     inst.validate()
     return inst
 

@@ -12,10 +12,12 @@ from dynroute.instance import (
     generate_instance,
     load_instance,
     metric_closure,
+    route_cost,
     routing_cost,
 )
+from dynroute.pchgs import EvalContext
 
-from helpers import square_instance
+from helpers import pc_from_static, square_instance, tight_instance
 
 
 def minimal_instance_dict():
@@ -181,6 +183,33 @@ def test_delaying_departure_never_decreases_begin_times(delta, dep):
         return
     for b0, b1 in zip(base.begin_service, later.begin_service):
         assert b1 >= b0
+
+
+TIGHT = tight_instance(77)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.permutations(range(1, 11)),
+    st.integers(1, 10),
+    st.integers(0, 8_000),
+    st.none() | st.lists(st.integers(0, 9_000), min_size=10, max_size=10),
+)
+def test_strict_timing_iff_zero_warp_and_excess(perm, k, departure, release):
+    # the solver's relaxed walk and the strict walk agree on feasibility,
+    # release times included: the route leaves at its latest release
+    inst = TIGHT
+    route = perm[:k]
+    pc = pc_from_static(inst, [0.0] * 10, departure=departure,
+                        release=None if release is None else tuple(release))
+    ctx = EvalContext(pc)
+    visits = [r - 1 for r in route]
+    cost, cap_excess, warp = ctx.eval_route(visits)
+    out = evaluate_route(inst, route, ctx.route_departure(visits))
+    assert isinstance(out, RouteTiming) == (cap_excess == 0 and warp == 0)
+    assert cost == route_cost(inst, route)
+    if isinstance(out, RouteTiming):
+        assert out.load == sum(inst.demand[r] for r in route)
 
 
 def test_metric_closure_enforces_triangle_inequality():

@@ -10,12 +10,8 @@ from dynroute.pchgs import (
     PcInstance,
     PcInstanceError,
     brute_force_solve,
-    local_search,
-    mutate_random_remove_insert,
-    optimize_request_set,
     preprocess,
     solve,
-    srex_crossover,
 )
 from dynroute.pchgs.evaluate import EvalContext
 from dynroute.pchgs.solver import (
@@ -32,6 +28,14 @@ from helpers import pc_from_static, random_pc, square_instance
 
 def small_params(seed=0, iters=200):
     return HgsParams(budget_iters=iters, stall_iters=100, seed=seed)
+
+
+def searched_copy(ind, pc, params):
+    """A fresh engine's local search applied to a copy of ind."""
+    engine = PcHgs(pc, params)
+    out = engine.make_individual(ind.routes)
+    engine.local_search(out)
+    return out
 
 
 # ------------------------------------------------------------- preprocess
@@ -286,18 +290,7 @@ def test_release_times_delay_departure():
             assert dep == 0
 
 
-# ----------------------------------------------------------- local search
-
-
-def test_local_search_reaches_fixed_point():
-    pc = random_pc(8, seed=70)
-    engine = PcHgs(pc, small_params(seed=3))
-    ind = engine.make_individual(engine.split([r for r in range(8) if r in engine.allowed]))
-    once = local_search(ind, pc, small_params(seed=3))
-    twice = local_search(once, pc, small_params(seed=3))
-    p1 = once.penalized_objective(engine.cap_pen, engine.tw_pen)
-    p2 = twice.penalized_objective(engine.cap_pen, engine.tw_pen)
-    assert abs(p1 - p2) <= 1e-9
+# ------------------------------------------------------- split and walks
 
 
 def mandatory_release_pc(n: int, seed: int) -> PcInstance:
@@ -312,6 +305,78 @@ def mandatory_release_pc(n: int, seed: int) -> PcInstance:
     return pc_from_static(
         base, prizes=[0.0] * n, forced_in=range(n), release=tuple(release)
     )
+
+
+def reference_split(ctx, giant, cap_pen, tw_pen):
+    """Quadratic split DP scoring every route giant[j:i] with a full walk;
+    the first best start wins ties, as in PcHgs.split."""
+    n = len(giant)
+    best = [np.inf] * (n + 1)
+    choice = [0] * (n + 1)
+    best[0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(i):
+            cand = best[j] + ctx.penalized(giant[j:i], cap_pen, tw_pen)
+            if cand < best[i]:
+                best[i], choice[i] = cand, j
+    routes, i = [], n
+    while i > 0:
+        routes.append(giant[choice[i] : i])
+        i = choice[i]
+    return routes[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["prize", "mandatory"]),
+    st.integers(0, 7),
+    st.sampled_from([0.5, 3.0, 40.0]),
+    st.data(),
+)
+def test_split_matches_reference_dp(mode, seed, pen, data):
+    pc = random_pc(12, seed=700 + seed) if mode == "prize" else mandatory_release_pc(12, 710 + seed)
+    engine = PcHgs(pc, HgsParams(budget_iters=1))
+    engine.tw_pen = pen
+    giant = data.draw(st.permutations(range(12)))
+    giant = giant[: data.draw(st.integers(1, 12))]
+    expected = reference_split(engine.ctx, giant, engine.cap_pen, engine.tw_pen)
+    assert engine.split(giant) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["prize", "mandatory"]),
+    st.integers(0, 7),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 50.0),
+    st.data(),
+)
+def test_penalized_bounded_is_penalized_below_bound(mode, seed, cap_pen, tw_pen, data):
+    pc = random_pc(10, seed=720 + seed) if mode == "prize" else mandatory_release_pc(10, 730 + seed)
+    ctx = EvalContext(pc)
+    route = data.draw(st.permutations(range(10)))[: data.draw(st.integers(1, 10))]
+    full = ctx.penalized(route, cap_pen, tw_pen)
+    bound = data.draw(st.sampled_from([full, np.nextafter(full, np.inf), np.inf])
+                      | st.floats(0.0, 2.0 * full + 1.0))
+    got = ctx.penalized_bounded(route, cap_pen, tw_pen, bound)
+    if full < bound:
+        assert got == full
+    else:
+        assert got is None
+
+
+# ----------------------------------------------------------- local search
+
+
+def test_local_search_reaches_fixed_point():
+    pc = random_pc(8, seed=70)
+    engine = PcHgs(pc, small_params(seed=3))
+    ind = engine.make_individual(engine.split([r for r in range(8) if r in engine.allowed]))
+    once = searched_copy(ind, pc, small_params(seed=3))
+    twice = searched_copy(once, pc, small_params(seed=3))
+    p1 = once.penalized_objective(engine.cap_pen, engine.tw_pen)
+    p2 = twice.penalized_objective(engine.cap_pen, engine.tw_pen)
+    assert abs(p1 - p2) <= 1e-9
 
 
 def assert_fixed_point(engine: PcHgs, ind) -> None:
@@ -495,7 +560,7 @@ def test_local_search_never_worsens():
         engine = PcHgs(pc, small_params(seed=1))
         ind = engine.make_individual(engine.split(list(engine.allowed)))
         before = ind.penalized_objective(engine.cap_pen, engine.tw_pen)
-        out = local_search(ind, pc, small_params(seed=1))
+        out = searched_copy(ind, pc, small_params(seed=1))
         after = out.penalized_objective(engine.cap_pen, engine.tw_pen)
         assert after >= before - 1e-9
 
@@ -507,7 +572,7 @@ def test_srex_identical_parents_preserve_served_set():
     pc = random_pc(7, seed=80)
     engine = PcHgs(pc, small_params(seed=4))
     a = engine.make_individual(engine.split(list(engine.allowed)))
-    child = srex_crossover(a, a, pc, small_params(seed=4))
+    child = PcHgs(pc, small_params(seed=4)).srex_crossover(a, a)
     assert child.served == a.served
 
 

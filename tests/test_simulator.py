@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynroute.instance import RouteTiming, evaluate_route, generate_instance
+from dynroute.instance import RouteTiming, RouteViolation, evaluate_route, generate_instance
 from dynroute.simulator import (
     Decision,
     DynamicConfig,
@@ -19,7 +20,7 @@ from dynroute.simulator import (
     validate_decision,
 )
 
-from helpers import square_instance
+from helpers import square_instance, tight_instance
 
 
 def cfg_for(inst, n_epochs=3, sample_size=10, seed=1, epoch_duration=None):
@@ -312,3 +313,38 @@ def test_decision_cost_uses_locations():
     state = SystemState(epoch=0, t_e=0, open=(req,))
     d = Decision(routes=((7,),))
     assert decision_cost(inst, state, d) == int(inst.travel[0, 2]) + int(inst.travel[2, 0])
+
+
+TIGHT = tight_instance(78)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(range(1, 11)), st.integers(1, 10), st.integers(0, 2), st.integers(0, 5_000))
+def test_validate_decision_matches_evaluate_route_on_static_rows(perm, k, epoch, offset):
+    inst = TIGHT
+    route = perm[:k]
+    cfg = DynamicConfig(n_epochs=3, sample_size=1, instance_seed=0, dispatch_offset=offset)
+    open_ = tuple(
+        OpenRequest(id=1000 + r, location=r, demand=inst.demand[r], service=inst.service[r],
+                    tw_open=inst.tw[r][0], tw_close=inst.tw[r][1], reveal_epoch=0)
+        for r in range(1, 11)
+    )
+    state = SystemState(epoch=epoch, t_e=cfg.epoch_start(epoch), open=open_)
+    decision = Decision(routes=(tuple(1000 + r for r in route),))
+    kinds = [v.kind for v in validate_decision(state, inst, cfg, decision)]
+    report = evaluate_route(inst, route, state.t_e + offset)
+    assert kinds == ([report.kind] if isinstance(report, RouteViolation) else [])
+
+
+def test_validate_decision_accepts_requests_sharing_a_location():
+    inst = square_instance()
+    cfg = DynamicConfig(n_epochs=1, sample_size=1, instance_seed=0, dispatch_offset=0)
+    reqs = tuple(
+        OpenRequest(id=i, location=1, demand=2, service=10, tw_open=0, tw_close=900,
+                    reveal_epoch=0, must_dispatch=True)
+        for i in (3, 4)
+    )
+    state = SystemState(epoch=0, t_e=0, open=reqs)
+    decision = Decision(routes=((3, 4),))
+    assert validate_decision(state, inst, cfg, decision) == []
+    assert decision_cost(inst, state, decision) == int(inst.travel[0, 1]) + int(inst.travel[1, 0])
