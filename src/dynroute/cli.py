@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -195,11 +196,14 @@ def _override_budget(config: dict, args) -> dict:
 
 
 def _run_policy_task(task: dict) -> dict:
+    """One episode of one policy. Any exception it raises becomes the row's
+    status, with the traceback reported, so one failed task does not abort
+    the benchmark."""
     inst = load_instance(task["instance_path"])
-    cfg = _dynamic_config(task["dynamic"], instance_seed=task["seed"])
-    policy = Policy(task["spec"], inst, cfg, model=task["model"])
     t0 = time.perf_counter()
     try:
+        cfg = _dynamic_config(task["dynamic"], instance_seed=task["seed"])
+        policy = Policy(task["spec"], inst, cfg, model=task["model"])
         result = run_episode(inst, cfg, policy)
         wall = time.perf_counter() - t0
         return {
@@ -212,13 +216,14 @@ def _run_policy_task(task: dict) -> dict:
             "wall_time_s": wall,
             "record": result.to_json_dict(cfg, inst.name),
         }
-    except InvalidDecisionError as exc:
+    except Exception as exc:
+        invalid = isinstance(exc, InvalidDecisionError)
         return {
             "instance": inst.name,
             "seed": task["seed"],
             "policy": task["policy_name"],
-            "status": "invalid_decision",
-            "error": str(exc),
+            "status": "invalid_decision" if invalid else f"error:{type(exc).__name__}",
+            "error": str(exc) if invalid else traceback.format_exc(),
             "wall_time_s": time.perf_counter() - t0,
         }
 
@@ -378,6 +383,10 @@ def cmd_benchmark(args) -> int:
             name = f"{r['instance']}__{r['seed']}__{r['policy']}.json"
             _write_json(os.path.join(out_dir, "runs", name), r["record"])
 
+    for r in policy_results:
+        if r["status"] != "ok":
+            print(f"benchmark: {r['instance']}/{r['seed']}/{r['policy']}: {r['status']}: "
+                  f"{r['error']}", file=sys.stderr)
     n_invalid = sum(1 for r in policy_results if r["status"] != "ok")
     print(f"benchmark: {len(policy_results)} episodes, {n_invalid} invalid, results in {out_dir}")
     return 0

@@ -9,6 +9,7 @@ served, forced-out requests never are.
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from collections import deque
@@ -66,10 +67,13 @@ def preprocess(inst: PcInstance) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(add_in), frozenset(add_out)
 
 
-def _same_route_plans(n: int, pu: int, pv: int) -> list[list[tuple[int, int, bool]]]:
+@functools.cache
+def _same_route_plans(n: int, pu: int, pv: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
     """The same-route moves of the visits at positions pu and pv of an
     n-visit route, in trial order. Each is a plan: the segments (first,
     last, reversed) of the old route that, concatenated, give the new one.
+    Plans depend only on (n, pu, pv), so they are built once and shared; the
+    cache holds fewer than n * n entries for each route length n seen.
 
     The moves: relocate u after and before v; relocate (u, succ u) and
     (succ u, u) after v; swap u with v, (u, succ u) with v, and
@@ -83,14 +87,14 @@ def _same_route_plans(n: int, pu: int, pv: int) -> list[list[tuple[int, int, boo
             segs = [(0, k - 1, False), x, (k, b0 - 1, False), (b1 + 1, n - 1, False)]
         else:
             segs = [(0, b0 - 1, False), (b1 + 1, k - 1, False), x, (k, n - 1, False)]
-        return [s for s in segs if s[0] <= s[1]]
+        return tuple(s for s in segs if s[0] <= s[1])
 
     def swap(i1: int, j1: int, i2: int, j2: int):
         if i2 < i1:
             i1, j1, i2, j2 = i2, j2, i1, j1
         segs = [(0, i1 - 1, False), (i2, j2, False), (j1 + 1, i2 - 1, False),
                 (i1, j1, False), (j2 + 1, n - 1, False)]
-        return [s for s in segs if s[0] <= s[1]]
+        return tuple(s for s in segs if s[0] <= s[1])
 
     has_succ_u = pu + 1 < n and pu + 1 != pv
     plans = [relocate(pu, pu, False, pv + 1), relocate(pu, pu, False, pv)]
@@ -103,9 +107,9 @@ def _same_route_plans(n: int, pu: int, pv: int) -> list[list[tuple[int, int, boo
         if pv + 1 < n and pv + 1 != pu:
             plans.append(swap(pu, pu + 1, pv, pv + 1))
     lo, hi = (pu, pv) if pu < pv else (pv, pu)
-    plans.append([s for s in ((0, lo - 1, False), (lo, hi, True), (hi + 1, n - 1, False))
-                  if s[0] <= s[1]])
-    return plans
+    plans.append(tuple(s for s in ((0, lo - 1, False), (lo, hi, True), (hi + 1, n - 1, False))
+                       if s[0] <= s[1]))
+    return tuple(plans)
 
 
 def _plan_cost(t, route: list[int], arc_pref: list[int], rev_pref: list[int], plan) -> int:
@@ -263,63 +267,84 @@ def _signature(ind: Individual) -> tuple[frozenset, frozenset[int]]:
     return pairs, ind.served
 
 
+def _sig_distance(a, b) -> int:
+    """Broken giant-tour pairs plus the served-set symmetric difference."""
+    return len(a[0] ^ b[0]) + len(a[1] ^ b[1])
+
+
+class _Subpopulation(list):
+    """The members of one subpopulation, with their signatures and their
+    pairwise distance matrix kept in member order."""
+
+    def __init__(self):
+        super().__init__()
+        self.sigs: list[tuple[frozenset, frozenset[int]]] = []
+        self.dists: list[list[int]] = []
+
+    def add(self, ind: Individual) -> None:
+        sig = _signature(ind)
+        row = [_sig_distance(sig, other) for other in self.sigs]
+        for other_row, d in zip(self.dists, row):
+            other_row.append(d)
+        row.append(0)
+        self.append(ind)
+        self.sigs.append(sig)
+        self.dists.append(row)
+
+    def evict(self, i: int) -> Individual:
+        del self.sigs[i]
+        del self.dists[i]
+        for row in self.dists:
+            del row[i]
+        return self.pop(i)
+
+
 class Population:
     """Feasible/infeasible subpopulations with rank-based biased fitness.
 
-    Fitness blends the objective rank with a diversity rank (mean distance to
-    the closest neighbors; distance = broken giant-tour pairs plus served-set
-    symmetric difference). Survivor selection removes clones first and never
+    Fitness blends the objective rank with a diversity rank (summed distance
+    to the closest neighbors; distance = broken giant-tour pairs plus
+    served-set symmetric difference). Each subpopulation keeps its distance
+    matrix between updates: a new member adds one row and column, an evicted
+    one takes its own away. Survivor selection removes clones first and never
     evicts the elite by objective.
     """
 
     def __init__(self, params: HgsParams):
         self.params = params
-        self.feasible: list[Individual] = []
-        self.infeasible: list[Individual] = []
-        self._sig: dict[int, tuple[frozenset, frozenset[int]]] = {}
-        # Pairwise distances between members, by id(); a member's entries are
-        # dropped when it leaves, before its id can be reused.
-        self._dist: dict[int, dict[int, int]] = {}
+        self.feasible = _Subpopulation()
+        self.infeasible = _Subpopulation()
         self._cache = None
 
     def members(self) -> list[Individual]:
         return self.feasible + self.infeasible
 
-    def distance(self, a: Individual, b: Individual) -> int:
-        row = self._dist.get(id(a))
-        if row is not None and id(b) in row:
-            return row[id(b)]
-        pa, sa = self._sig.get(id(a)) or _signature(a)
-        pb, sb = self._sig.get(id(b)) or _signature(b)
-        d = len(pa ^ pb) + len(sa ^ sb)
-        if row is not None and id(b) in self._dist:
-            row[id(b)] = d
-            self._dist[id(b)][id(a)] = d
-        return d
+    @staticmethod
+    def distance(a: Individual, b: Individual) -> int:
+        return _sig_distance(_signature(a), _signature(b))
 
     def update(self, ind: Individual, cap_pen: float, tw_pen: float) -> None:
         sub = self.feasible if ind.feasible else self.infeasible
-        sub.append(ind)
-        self._sig[id(ind)] = _signature(ind)
-        self._dist[id(ind)] = {}
+        sub.add(ind)
         self._cache = None
         if len(sub) > self.params.mu + self.params.lam:
             self._select_survivors(sub, cap_pen, tw_pen)
 
-    def _ranked(self, sub: list[Individual], dists, cap_pen: float, tw_pen: float):
+    def _ranked(self, sub: _Subpopulation, cap_pen: float, tw_pen: float):
         """Biased fitness of each member (lower is better), and the members
         from best to worst objective.
 
         Fitness is the objective rank plus ``1 - elite/k`` times the diversity
         rank; diversity is the summed distance to the ``n_closest`` nearest
-        other members, larger ranking better.
+        other members, larger ranking better. A member's own zero sorts first
+        in its row, so the nearest others follow it.
         """
         k = len(sub)
         if k == 0:
             return [], []
         n_close = self.params.n_closest
         objs = [ind.penalized_objective(cap_pen, tw_pen) for ind in sub]
-        div = [-sum(sorted(dists[i][j] for j in range(k) if j != i)[:n_close]) for i in range(k)]
+        div = [-sum(sorted(row)[1 : n_close + 1]) for row in sub.dists]
         by_obj = sorted(range(k), key=lambda i: -objs[i])
         obj_rank = [0] * k
         div_rank = [0] * k
@@ -330,37 +355,25 @@ class Population:
         w = 1.0 - self.params.elite / k
         return [obj_rank[i] + w * div_rank[i] for i in range(k)], by_obj
 
-    def _matrix(self, sub: list[Individual]) -> list[list[int]]:
-        return [[0 if a is b else self.distance(a, b) for b in sub] for a in sub]
-
-    def _select_survivors(self, sub: list[Individual], cap_pen: float, tw_pen: float) -> None:
-        dists = self._matrix(sub)
+    def _select_survivors(self, sub: _Subpopulation, cap_pen: float, tw_pen: float) -> None:
         while len(sub) > self.params.mu:
             k = len(sub)
-            fitness, by_obj = self._ranked(sub, dists, cap_pen, tw_pen)
+            fitness, by_obj = self._ranked(sub, cap_pen, tw_pen)
             protected = set(by_obj[: max(1, self.params.elite)])
-            is_clone = [
-                any(dists[i][j] == 0 for j in range(k) if j != i) for i in range(k)
-            ]
+            # the diagonal holds one zero; another marks a clone
+            is_clone = [row.count(0) > 1 for row in sub.dists]
             victims = sorted(
                 (i for i in range(k) if i not in protected or is_clone[i]),
                 key=lambda i: (not is_clone[i], -fitness[i]),
             )
-            removed = sub.pop(victims[0])
-            dists.pop(victims[0])
-            for row in dists:
-                del row[victims[0]]
-            self._sig.pop(id(removed), None)
-            for other in self._dist.pop(id(removed)):
-                self._dist[other].pop(id(removed))
-        self._cache = None
+            sub.evict(victims[0])
 
     def tournament(self, rng: np.random.Generator, cap_pen: float, tw_pen: float) -> Individual:
         if self._cache is None:
             pool = self.members()
             fits = [
                 f for sub in (self.feasible, self.infeasible)
-                for f in self._ranked(sub, self._matrix(sub), cap_pen, tw_pen)[0]
+                for f in self._ranked(sub, cap_pen, tw_pen)[0]
             ]
             self._cache = (pool, fits)
         pool, fits = self._cache
@@ -527,17 +540,31 @@ class PcHgs:
         """Cheapest penalized insertion of request r: (delta, route_idx, position).
 
         route_idx == -1 means a fresh single-request route.
+
+        A gap is walked only when its integer arc cost plus the capacity term
+        beats the bound: summed in ``penalized_bounded``'s order, that is a
+        lower bound on the penalized cost, so a gap it rejects is one the
+        walk would reject too.
         """
         ctx = self.ctx
+        t = ctx.t
+        rm = r + 1
         cap_pen, tw_pen = self.cap_pen, self.tw_pen
         best = (ctx.penalized([r], cap_pen, tw_pen), -1, 0)
         for ri, route in enumerate(work.routes):
             old = work.route_pen(ri, cap_pen, tw_pen)
+            cost = work.stats[ri][0]
+            cap_term = cap_pen * max(0, work.loads[ri] + ctx.demand[r] - ctx.capacity)
+            prev = 0
             for pi in range(len(route) + 1):
-                cand = route[:pi] + [r] + route[pi:]
-                pen = ctx.penalized_bounded(cand, cap_pen, tw_pen, old + best[0] - _EPS)
-                if pen is not None:
-                    best = (pen - old, ri, pi)
+                nxt = route[pi] + 1 if pi < len(route) else 0
+                bound = old + best[0] - _EPS
+                if cost + t[prev][rm] + t[rm][nxt] - t[prev][nxt] + cap_term < bound:
+                    cand = route[:pi] + [r] + route[pi:]
+                    pen = ctx.penalized_bounded(cand, cap_pen, tw_pen, bound)
+                    if pen is not None:
+                        best = (pen - old, ri, pi)
+                prev = nxt
         return best
 
     def _apply_best_insertion(self, work: _Work, r: int) -> float:

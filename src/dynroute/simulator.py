@@ -224,12 +224,17 @@ def validate_decision(
                 Violation("unknown_request", f"route visits ids not open: {sorted(unknown)}")
             )
             continue
-        dups = [i for i in route if i in seen]
+        # an id is a duplicate when an earlier route or an earlier visit of
+        # this route already holds it
+        dups = set()
+        for i in route:
+            if i in seen:
+                dups.add(i)
+            seen.add(i)
         if dups:
             violations.append(
-                Violation("overlap", f"ids routed more than once: {sorted(set(dups))}")
+                Violation("overlap", f"ids routed more than once: {sorted(dups)}")
             )
-        seen.update(route)
         reqs = [open_by_id[i] for i in route]
         rows = [(r.location, r.demand, r.service, r.tw_open, r.tw_close) for r in reqs]
         report = _walk_route(inst, route, rows, departure, "id")

@@ -36,6 +36,8 @@ from dynroute.simulator import (
 
 from helpers import random_pc
 
+pytestmark = pytest.mark.acceptance
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BENCH_INSTANCES = [os.path.join(FIXTURES, f"bench_{x}.json") for x in "abc"]
 BENCH_MODEL = os.path.join(FIXTURES, "model_bench.json")

@@ -8,7 +8,7 @@ import pytest
 from dynroute.cli import main
 from dynroute.instance import load_instance
 from dynroute.learning import init_model, load_model
-from dynroute.pchgs import brute_force_solve
+from dynroute.pchgs import PcInfeasibleError, brute_force_solve
 
 from helpers import pc_from_static
 
@@ -235,6 +235,34 @@ def test_benchmark_parallel_matches_serial(tmp_path):
     run_cli("benchmark", "--config", str(cfg_path), "--workers", "2")
     parallel = open(os.path.join(cfg["out_dir"], "results.csv"), "rb").read()
     assert serial == parallel
+
+
+def test_benchmark_reports_a_failed_policy_as_a_status_row(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "8", "--seed", "41", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [inst_path], seeds=2)
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+
+    def infeasible(*args, **kwargs):
+        raise PcInfeasibleError("no feasible solution found within budget")
+
+    monkeypatch.setattr("dynroute.policies.decide_lazy", infeasible)
+    run_cli("benchmark", "--config", str(cfg_path))
+    with open(os.path.join(cfg["out_dir"], "results.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for r in rows:
+        if r["policy"] == "lazy":
+            assert r["status"] == "error:PcInfeasibleError"
+            assert r["total_cost"] == "" and r["relative_gap"] == ""
+        else:
+            assert r["status"] == "ok"
+            assert float(r["total_cost"]) > 0
+    agg = json.loads(open(os.path.join(cfg["out_dir"], "aggregate.json")).read())
+    assert (agg["lazy"]["n_ok"], agg["lazy"]["n_invalid"]) == (0, 2)
+    assert agg["greedy"]["n_ok"] == 2
+    assert "no feasible solution found within budget" in capsys.readouterr().err
 
 
 def test_benchmark_rejects_missing_model_before_solving(tmp_path, capsys, monkeypatch):

@@ -521,6 +521,14 @@ def test_same_route_arc_deltas_match_built_candidates(case, data):
         assert delta == ctx.route_cost(cand) - base
 
 
+def test_same_route_plans_are_shared_immutable_tuples():
+    for n, pu, pv in ((2, 0, 1), (5, 3, 1), (7, 2, 5)):
+        plans = _same_route_plans(n, pu, pv)
+        assert isinstance(plans, tuple)
+        assert all(isinstance(p, tuple) and all(isinstance(s, tuple) for s in p) for p in plans)
+        assert _same_route_plans(n, pu, pv) is plans
+
+
 # Outputs recorded before the route certificates, top-3 insertion tables and
 # O(1) move bounds went in; iteration-budget outputs must stay byte-identical.
 GOLDEN_PARAMS = dict(budget_iters=60, stall_iters=25, init_pool=12)
@@ -682,6 +690,41 @@ def test_optimize_request_set_unperturbed_never_decreases_objective():
         assert after >= before - 1e-9
 
 
+def reference_best_insertion(engine, work, r):
+    """Cheapest penalized insertion by walking every candidate route."""
+    ctx = engine.ctx
+    cap_pen, tw_pen = engine.cap_pen, engine.tw_pen
+    best = (ctx.penalized([r], cap_pen, tw_pen), -1, 0)
+    for ri, route in enumerate(work.routes):
+        old = work.route_pen(ri, cap_pen, tw_pen)
+        for pi in range(len(route) + 1):
+            cand = route[:pi] + [r] + route[pi:]
+            pen = ctx.penalized_bounded(cand, cap_pen, tw_pen, old + best[0] - 1e-9)
+            if pen is not None:
+                best = (pen - old, ri, pi)
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["prize", "mandatory"]),
+    st.integers(0, 7),
+    st.sampled_from([1.0, 10.0]),
+    st.data(),
+)
+def test_best_insertion_matches_unscreened_scan(mode, seed, scale, data):
+    pc = random_pc(12, seed=740 + seed) if mode == "prize" else mandatory_release_pc(12, 750 + seed)
+    engine = PcHgs(pc, HgsParams(budget_iters=1, seed=seed))
+    engine.cap_pen *= scale
+    engine.tw_pen *= scale
+    giant = data.draw(st.permutations(range(12)))
+    dropped = set(giant[: data.draw(st.integers(1, 6))])
+    routes = [[v for v in r if v not in dropped] for r in engine.split(giant)]
+    work = _Work(engine.ctx, routes)
+    for r in sorted(dropped):
+        assert engine._best_insertion(work, r) == reference_best_insertion(engine, work, r)
+
+
 # ------------------------------------------------------------- population
 
 
@@ -724,3 +767,77 @@ def test_population_removes_clone_first():
         if pop.distance(a, b) == 0
     ]
     assert not pairs
+
+
+def reference_fitness(params, sub, cap_pen, tw_pen):
+    """Biased fitness from a distance matrix built from scratch."""
+    k = len(sub)
+    if k == 0:
+        return [], [], []
+    d = [[0 if a is b else Population.distance(a, b) for b in sub] for a in sub]
+    objs = [ind.penalized_objective(cap_pen, tw_pen) for ind in sub]
+    div = [-sum(sorted(d[i][j] for j in range(k) if j != i)[: params.n_closest])
+           for i in range(k)]
+    by_obj = sorted(range(k), key=lambda i: -objs[i])
+    by_div = sorted(range(k), key=lambda i: div[i])
+    w = 1.0 - params.elite / k
+    return [by_obj.index(i) + w * by_div.index(i) for i in range(k)], by_obj, d
+
+
+def reference_update(params, sub, ind, cap_pen, tw_pen):
+    sub.append(ind)
+    if len(sub) <= params.mu + params.lam:
+        return
+    while len(sub) > params.mu:
+        fitness, by_obj, d = reference_fitness(params, sub, cap_pen, tw_pen)
+        protected = set(by_obj[: max(1, params.elite)])
+        clone = [any(d[i][j] == 0 for j in range(len(sub)) if j != i) for i in range(len(sub))]
+        victims = sorted(
+            (i for i in range(len(sub)) if i not in protected or clone[i]),
+            key=lambda i: (not clone[i], -fitness[i]),
+        )
+        sub.pop(victims[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["prize", "mandatory"]),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 30), min_size=10, max_size=40),
+    st.integers(0, 2**16),
+)
+def test_population_matches_from_scratch_reference(mode, seed, script, tseed):
+    pc = random_pc(12, seed=760 + seed) if mode == "prize" else mandatory_release_pc(12, 770 + seed)
+    params = HgsParams(budget_iters=1, seed=seed, mu=4, lam=3, elite=2, n_closest=3)
+    engine = PcHgs(pc, params)
+    base_pens = (engine.cap_pen, engine.tw_pen)
+    pop = Population(params)
+    ref = {True: [], False: []}
+    made = []
+    for k, step in enumerate(script):
+        # a step below 8 clones an earlier individual; any other draws a new
+        # one, split under low penalties every other time so that both
+        # subpopulations fill
+        if step >= 8 or not made:
+            low = k % 2 == 1
+            engine.cap_pen, engine.tw_pen = (0.01, 0.01) if low else base_pens
+            ind = engine._random_individual()
+        else:
+            ind = engine.make_individual(made[step % len(made)].routes)
+        made.append(ind)
+        cap_pen, tw_pen = base_pens[0] * (1 + k % 3), base_pens[1]
+        pop.update(ind, cap_pen, tw_pen)
+        reference_update(params, ref[ind.feasible], ind, cap_pen, tw_pen)
+        for sub, key in ((pop.feasible, True), (pop.infeasible, False)):
+            assert [id(m) for m in sub] == [id(m) for m in ref[key]]
+            fitness, by_obj, d = reference_fitness(params, ref[key], cap_pen, tw_pen)
+            assert pop._ranked(sub, cap_pen, tw_pen) == (fitness, by_obj)
+            assert sub.dists == d
+        fits = [f for key in (True, False)
+                for f in reference_fitness(params, ref[key], cap_pen, tw_pen)[0]]
+        pool = ref[True] + ref[False]
+        rng, ref_rng = np.random.default_rng(tseed), np.random.default_rng(tseed)
+        for _ in range(3):
+            i, j = int(ref_rng.integers(0, len(pool))), int(ref_rng.integers(0, len(pool)))
+            expected = pool[i] if fits[i] <= fits[j] else pool[j]
+            assert pop.tournament(rng, cap_pen, tw_pen) is expected

@@ -348,3 +348,37 @@ def test_validate_decision_accepts_requests_sharing_a_location():
     decision = Decision(routes=((3, 4),))
     assert validate_decision(state, inst, cfg, decision) == []
     assert decision_cost(inst, state, decision) == int(inst.travel[0, 1]) + int(inst.travel[1, 0])
+
+
+def _two_open_requests():
+    inst = square_instance()
+    cfg = DynamicConfig(n_epochs=1, sample_size=1, instance_seed=0, dispatch_offset=0)
+    reqs = tuple(
+        OpenRequest(id=i, location=loc, demand=1, service=10, tw_open=0, tw_close=900,
+                    reveal_epoch=0, must_dispatch=True)
+        for i, loc in ((3, 1), (4, 2))
+    )
+    return inst, cfg, SystemState(epoch=0, t_e=0, open=reqs)
+
+
+def test_validate_decision_reports_a_repeat_within_one_route():
+    inst, cfg, state = _two_open_requests()
+    violations = validate_decision(state, inst, cfg, Decision(routes=((3, 4, 3),)))
+    overlaps = [v for v in violations if v.kind == "overlap"]
+    assert len(overlaps) == 1 and "[3]" in overlaps[0].detail
+    assert validate_decision(state, inst, cfg, Decision(routes=((3, 4),))) == []
+
+
+def test_run_episode_raises_invalid_decision_on_a_repeated_visit():
+    inst = generate_instance(12, seed=18)
+    cfg = cfg_for(inst, n_epochs=2, sample_size=10, seed=7)
+
+    def repeats_first(state):
+        ids = [r.id for r in state.open]
+        if not ids:
+            return Decision(routes=())
+        return Decision(routes=((ids[0], ids[0]),) + tuple((i,) for i in ids[1:]))
+
+    with pytest.raises(InvalidDecisionError) as err:
+        run_episode(inst, cfg, repeats_first)
+    assert [v.kind for v in err.value.violations] == ["overlap"]
