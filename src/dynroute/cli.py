@@ -170,13 +170,9 @@ def cmd_train(args) -> int:
     log_path = config.get("out_log", out_model + ".log.csv")
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        has_val = any("val_loss" in row for row in result.log)
-        writer.writerow(["epoch", "train_loss"] + (["val_loss"] if has_val else []))
+        writer.writerow(["epoch", "train_loss"])
         for row in result.log:
-            out_row = [row["epoch"], f"{row['train_loss']:.6f}"]
-            if has_val:
-                out_row.append(f"{row.get('val_loss', float('nan')):.6f}")
-            writer.writerow(out_row)
+            writer.writerow([row["epoch"], f"{row['train_loss']:.6f}"])
     print(f"wrote {out_model} and {log_path}")
     return 0
 
@@ -256,14 +252,8 @@ def cmd_benchmark(args) -> int:
     # before any solving starts.
     policies = []
     for pdata in config["policies"]:
-        pdata = dict(pdata)
+        pdata = _override_budget(pdata, args)
         name = pdata.pop("name", pdata.get("kind"))
-        if args.budget_iters is not None:
-            pdata["budget_iters"] = args.budget_iters
-            pdata["budget_s"] = None
-        if args.budget_s is not None:
-            pdata["budget_s"] = args.budget_s
-            pdata["budget_iters"] = None
         spec = spec_from_dict(pdata)
         model = load_model(spec.model_path) if spec.kind == "ml_co" else None
         policies.append((name, spec, model))
@@ -309,6 +299,12 @@ def cmd_benchmark(args) -> int:
     baseline_by_key = {(r["instance"], r["seed"]): r["cost"] for r in baseline_results}
     policy_results.sort(key=lambda r: (r["instance"], r["seed"], r["policy"]))
 
+    def gap_of(r: dict) -> float | None:
+        """Relative gap to the baseline; None when the baseline costs 0 (a
+        scenario that reveals no reachable request)."""
+        base = baseline_by_key[(r["instance"], r["seed"])]
+        return (r["total_cost"] - base) / base if base else None
+
     def fmt_wall(w: float) -> str:
         return "0.000" if deterministic else f"{w:.3f}"
 
@@ -322,10 +318,10 @@ def cmd_benchmark(args) -> int:
         for r in policy_results:
             base = baseline_by_key[(r["instance"], r["seed"])]
             if r["status"] == "ok":
-                gap = (r["total_cost"] - base) / base
+                gap = gap_of(r)
                 writer.writerow(
                     [r["instance"], r["seed"], r["policy"], r["total_cost"], base,
-                     f"{gap:.6f}", fmt_wall(r["wall_time_s"]), "ok"]
+                     "" if gap is None else f"{gap:.6f}", fmt_wall(r["wall_time_s"]), "ok"]
                 )
             else:
                 writer.writerow(
@@ -356,11 +352,7 @@ def cmd_benchmark(args) -> int:
     for name, _, _ in policies:
         rows = [r for r in policy_results if r["policy"] == name]
         ok = [r for r in rows if r["status"] == "ok"]
-        gaps = [
-            (r["total_cost"] - baseline_by_key[(r["instance"], r["seed"])])
-            / baseline_by_key[(r["instance"], r["seed"])]
-            for r in ok
-        ]
+        gaps = [g for g in map(gap_of, ok) if g is not None]
         costs = [r["total_cost"] for r in ok]
         aggregate[name] = {
             "n": len(rows),

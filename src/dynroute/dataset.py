@@ -9,6 +9,7 @@ decisions an all-knowing dispatcher would have taken epoch by epoch.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -225,14 +226,8 @@ def build_dataset(
     with open(out_path, "w", encoding="utf-8") as fh:
         for inst in instances:
             for k in range(n_scenarios):
-                cfg = DynamicConfig(
-                    n_epochs=cfg_base.n_epochs,
-                    sample_size=cfg_base.sample_size,
-                    instance_seed=seed + k,
-                    epoch_duration=cfg_base.epoch_duration,
-                    dispatch_offset=cfg_base.dispatch_offset,
-                )
-                sparams = _with_seed(params, seed + k)
+                cfg = dataclasses.replace(cfg_base, instance_seed=seed + k)
+                sparams = dataclasses.replace(params, seed=seed + k)
                 samples, _ = build_scenario_samples(inst, cfg, sparams)
                 for s in samples:
                     fh.write(json.dumps(s.to_json_dict(), sort_keys=True) + "\n")
@@ -257,9 +252,3 @@ def load_dataset(path: str, cfg: DynamicConfig) -> list[TrainingSample]:
             if line:
                 samples.append(sample_from_json_dict(json.loads(line), cfg))
     return samples
-
-
-def _with_seed(params: HgsParams, seed: int) -> HgsParams:
-    import dataclasses
-
-    return dataclasses.replace(params, seed=seed)

@@ -10,6 +10,7 @@ coordinate lies in [-1, 1].
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,6 @@ class PerturbationConfig:
     inner_params: HgsParams = field(
         default_factory=lambda: HgsParams(budget_iters=80, stall_iters=40)
     )
-    warm_start: bool = True
-    warm_pool: int = 4
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -54,22 +53,17 @@ class ExactInner:
 
 
 class HgsInner:
-    """Metaheuristic argmax; optionally warm-starts from recent solutions."""
+    """Metaheuristic argmax; warm-starts from its last four solutions."""
 
-    def __init__(self, pc: PcInstance, params: HgsParams, warm_start: bool = True, warm_pool: int = 4):
+    def __init__(self, pc: PcInstance, params: HgsParams):
         self.pc = pc
         self.params = params
-        self.warm_start = warm_start
-        self.warm_pool = warm_pool
-        self._pool: list = []
+        self._pool: deque = deque(maxlen=4)
 
     def solve(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         inst = dataclasses.replace(self.pc, prizes=tuple(float(x) for x in theta))
-        sol = solve(inst, self.params, warm_start=self._pool if self.warm_start else None)
-        if self.warm_start:
-            self._pool.append(sol)
-            if len(self._pool) > self.warm_pool:
-                self._pool.pop(0)
+        sol = solve(inst, self.params, warm_start=self._pool)
+        self._pool.append(sol)
         g = np.zeros(inst.n_requests)
         for r in sol.served:
             g[r] = 1.0
@@ -93,7 +87,7 @@ def inner_for_sample(
         return ExactInner(pc)
     if pc.n_requests <= pcfg.exact_auto_max:
         return ExactInner(pc, max_requests=pcfg.exact_auto_max)
-    return HgsInner(pc, pcfg.inner_params, warm_start=pcfg.warm_start, warm_pool=pcfg.warm_pool)
+    return HgsInner(pc, pcfg.inner_params)
 
 
 def target_vector(sample: TrainingSample) -> np.ndarray:

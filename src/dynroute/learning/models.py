@@ -27,16 +27,6 @@ class PrizeModel:
     output_scale: float = 1.0
     meta: dict = field(default_factory=dict)
 
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def copy_weights(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-    def set_weights(self, weights, biases) -> None:
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-
 
 def init_model(
     kind: str, fcfg: FeatureConfig, seed: int = 0, output_scale: float = 1.0

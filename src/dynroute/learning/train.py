@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     lr_decay: float = 1.0
     optimizer: str = "adam"
-    val_fraction: float = 0.0
     seed: int = 0
     model_seed: int = 0
 
@@ -38,8 +38,6 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if not (0.0 <= self.val_fraction < 1.0):
-            raise ValueError("val_fraction must lie in [0, 1)")
 
 
 @dataclass
@@ -84,9 +82,9 @@ def train(
 ) -> TrainResult:
     """Fit a prize model on imitation samples.
 
-    Standardization and the output scale come from the training split only and
-    are frozen into the model. Deterministic given the seeds and an
-    iteration-budget inner solver.
+    Standardization and the output scale come from the samples and are frozen
+    into the model. Deterministic given the seeds and an iteration-budget
+    inner solver.
     """
     pcfg = pcfg or PerturbationConfig()
     tcfg = tcfg or TrainConfig()
@@ -96,23 +94,17 @@ def train(
         raise ValueError("dataset has no samples with open requests")
 
     rng = np.random.default_rng([tcfg.seed, len(usable)])
-    order = rng.permutation(len(usable))
-    n_val = int(round(tcfg.val_fraction * len(usable)))
-    val_idx = sorted(order[:n_val].tolist())
-    train_idx = sorted(order[n_val:].tolist())
-    if not train_idx:
-        raise ValueError("validation split leaves no training samples")
+    # An unused draw, kept because every epoch's sample order follows it.
+    rng.permutation(len(usable))
 
     raw = [
         extract_features_raw(s.state, instances[s.instance], cfg, set_kind) for s in usable
     ]
-    fcfg = fit_standardization([raw[i] for i in train_idx], set_kind)
+    fcfg = fit_standardization(raw, set_kind)
     feats = [
         (r - np.asarray(fcfg.mean)) / np.asarray(fcfg.scale) for r in raw
     ]
-    output_scale = float(
-        max(instances[usable[i].instance].travel.max() for i in train_idx)
-    )
+    output_scale = float(max(instances[s.instance].travel.max() for s in usable))
     model = init_model(model_kind, fcfg, seed=tcfg.model_seed, output_scale=output_scale)
     model.meta = {
         "epsilon": pcfg.epsilon,
@@ -128,30 +120,16 @@ def train(
         if i not in inners:
             inners[i] = inner_for_sample(usable[i], instances[usable[i].instance], cfg, pcfg)
         return inners[i]
-    eps_eff = pcfg.epsilon * model.output_scale
+    # Perturbations are drawn in cost units, on the scale of the prizes.
+    scaled = dataclasses.replace(pcfg, epsilon=pcfg.epsilon * model.output_scale)
     z_rng = np.random.default_rng([pcfg.seed, 7])
-    val_z = {
-        i: np.random.default_rng([pcfg.seed, 13, i]).standard_normal(
-            (pcfg.n_samples, len(usable[i].state.open))
-        )
-        for i in val_idx
-    }
 
     adam = _Adam(model, tcfg.learning_rate) if tcfg.optimizer == "adam" else None
     log: list[dict] = []
-    best = (float("inf"), model.copy_weights())
-
-    def eval_loss(i: int, z: np.ndarray | None) -> tuple[float, np.ndarray]:
-        theta = predict_prizes(model, feats[i])
-        import dataclasses as _dc
-
-        eff = _dc.replace(pcfg, epsilon=eps_eff)
-        out = perturbed_loss_and_grad(theta, usable[i], inner_at(i), eff, z=z)
-        return out.loss, out.grad
 
     for epoch in range(tcfg.epochs):
         lr = tcfg.learning_rate * (tcfg.lr_decay**epoch)
-        perm = rng.permutation(train_idx)
+        perm = rng.permutation(len(usable))
         epoch_losses: list[float] = []
         for start in range(0, len(perm), tcfg.batch_size):
             batch = perm[start : start + tcfg.batch_size]
@@ -159,11 +137,12 @@ def train(
             grads_b = [np.zeros_like(b) for b in model.biases]
             for i in batch:
                 z = z_rng.standard_normal((pcfg.n_samples, len(usable[i].state.open)))
-                loss, grad_theta = eval_loss(int(i), z)
-                if not np.isfinite(loss):
+                theta = predict_prizes(model, feats[i])
+                out = perturbed_loss_and_grad(theta, usable[i], inner_at(i), scaled, z=z)
+                if not np.isfinite(out.loss):
                     raise TrainingDiverged(epoch, log)
-                epoch_losses.append(loss)
-                gw, gb = backprop(model, feats[int(i)], grad_theta)
+                epoch_losses.append(out.loss)
+                gw, gb = backprop(model, feats[i], out.grad)
                 for li in range(len(grads_w)):
                     grads_w[li] += gw[li] / len(batch)
                     grads_b[li] += gb[li] / len(batch)
@@ -175,15 +154,7 @@ def train(
                         model.weights[li] -= lr * grads_w[li]
                         model.biases[li] -= lr * grads_b[li]
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        row = {"epoch": epoch, "train_loss": train_loss}
-        if val_idx:
-            val_loss = float(np.mean([eval_loss(i, val_z[i])[0] for i in val_idx]))
-            row["val_loss"] = val_loss
-            if val_loss < best[0]:
-                best = (val_loss, model.copy_weights())
-        log.append(row)
+        log.append({"epoch": epoch, "train_loss": train_loss})
 
-    if val_idx and best[0] < float("inf"):
-        model.set_weights(*best[1])
     model.meta["trained_epochs"] = tcfg.epochs
     return TrainResult(model=model, log=log)

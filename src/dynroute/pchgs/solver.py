@@ -29,6 +29,15 @@ from .types import (
 
 _EPS = 1e-9
 
+# Fixed search constants.
+GRANULARITY = 20  # granular neighbors kept per request
+P_OPT = 0.25  # chance of a perturbed request-set pass on each child
+DELTA_LO, DELTA_HI = 0.8, 1.2  # range of that pass's saving/detour factors
+TW_PENALTY = 3.0  # start of the time-window penalty
+PENALTY_UP, PENALTY_DOWN = 1.2, 0.85  # penalty factors when too few/many LS outputs are feasible
+PENALTY_LO, PENALTY_HI = 0.1, 1e5  # clamp of adapted penalties
+ADAPT_PERIOD = 100  # iterations between adaptations; also the feasibility window
+
 
 def preprocess(inst: PcInstance) -> tuple[frozenset[int], frozenset[int]]:
     """Closed-form forced-set additions from the prize structure.
@@ -397,19 +406,15 @@ class PcHgs:
         self.forced_out = frozenset(inst.forced_out | add_out)
         self.allowed = [r for r in range(inst.n_requests) if r not in self.forced_out]
         self.prizes = list(inst.prizes)
-        self.cap_pen = (
-            params.cap_penalty
-            if params.cap_penalty is not None
-            else max(1.0, inst.max_cost() / max(1, max(inst.demand, default=1)))
-        )
-        self.tw_pen = max(params.penalty_lo, params.tw_penalty)
+        self.cap_pen = max(1.0, inst.max_cost() / max(1, max(inst.demand, default=1)))
+        self.tw_pen = TW_PENALTY
         self._neighbors = self._granular_neighbors()
         self.pop = Population(params)
         self.incumbent: _Incumbent | None = None
         self.iterations = 0
-        # Feasibility of the last adapt_period local-search outputs.
-        self._ls_cap_feas: deque[bool] = deque(maxlen=params.adapt_period)
-        self._ls_tw_feas: deque[bool] = deque(maxlen=params.adapt_period)
+        # Feasibility of the last ADAPT_PERIOD local-search outputs.
+        self._ls_cap_feas: deque[bool] = deque(maxlen=ADAPT_PERIOD)
+        self._ls_tw_feas: deque[bool] = deque(maxlen=ADAPT_PERIOD)
         self.trace: list[float] = []
         # Route certificates (see local_search): interned route tuples, and per
         # (cap_pen, tw_pen) the ordered pairs of route ids known to be a fixed
@@ -422,7 +427,6 @@ class PcHgs:
     def _granular_neighbors(self) -> dict[int, list[int]]:
         ctx = self.ctx
         out: dict[int, list[int]] = {}
-        gamma = self.params.granularity
         for u in self.allowed:
             scored = []
             for v in self.allowed:
@@ -433,7 +437,7 @@ class PcHgs:
                 late = max(0, (ctx.open[u] + ctx.service[u] + tuv) - ctx.close[v])
                 scored.append((tuv + wait + late, v))
             scored.sort()
-            out[u] = [v for _, v in scored[:gamma]]
+            out[u] = [v for _, v in scored[:GRANULARITY]]
         return out
 
     # ------------------------------------------------------- individual admin
@@ -818,7 +822,7 @@ class PcHgs:
                 return True
 
         # swap pair (u, succ_u) <-> v and <-> pair (v, succ_v)
-        if succ_u is not None and succ_u != v:
+        if succ_u is not None:
             sm = succ_u + 1
             b2_u = route_u[pu + 2] + 1 if pu + 2 < len(route_u) else 0
             pair_load_u = dem[u] + dem[succ_u]
@@ -835,7 +839,7 @@ class PcHgs:
                     route_v[:pv] + [u, succ_u] + route_v[pv + 1 :],
                 ):
                     return True
-            if succ_v is not None and succ_v not in (u, succ_u):
+            if succ_v is not None:
                 svm = succ_v + 1
                 b2_v = route_v[pv + 2] + 1 if pv + 2 < len(route_v) else 0
                 pair_load_v = dem[v] + dem[succ_v]
@@ -1143,23 +1147,22 @@ class PcHgs:
         unserved ones whose cheapest insertion detour is below their prize.
 
         With ``perturb`` each saving/detour is scaled by an independent uniform
-        draw from [delta_lo, delta_hi] before the comparison.
+        draw from [DELTA_LO, DELTA_HI] before the comparison.
         """
         rng = self.rng
-        lo, hi = self.params.delta_lo, self.params.delta_hi
         work = _Work(self.ctx, ind.routes)
         changed = False
         for r in sorted(work.served()):
             if r in self.forced_in:
                 continue
             saving = self._removal_saving(work, r)
-            factor = float(rng.uniform(lo, hi)) if perturb else 1.0
+            factor = float(rng.uniform(DELTA_LO, DELTA_HI)) if perturb else 1.0
             if saving * factor > self.prizes[r] + _EPS:
                 work.remove(r)
                 changed = True
         for r in sorted(set(self.allowed) - work.served()):
             delta, ri, pi = self._best_insertion(work, r)
-            factor = float(rng.uniform(lo, hi)) if perturb else 1.0
+            factor = float(rng.uniform(DELTA_LO, DELTA_HI)) if perturb else 1.0
             if delta * factor < self.prizes[r] - _EPS:
                 work.insert(r, ri, pi)
                 changed = True
@@ -1204,7 +1207,6 @@ class PcHgs:
                     self.incumbent = cand2
 
     def _adapt_penalties(self) -> None:
-        p = self.params
         cap_window = self._ls_cap_feas
         tw_window = self._ls_tw_feas
         if not cap_window:
@@ -1212,15 +1214,15 @@ class PcHgs:
         frac_cap = sum(cap_window) / len(cap_window)
         frac_tw = sum(tw_window) / len(tw_window)
         if frac_cap < 0.2:
-            self.cap_pen *= p.penalty_up
+            self.cap_pen *= PENALTY_UP
         elif frac_cap > 0.6:
-            self.cap_pen *= p.penalty_down
+            self.cap_pen *= PENALTY_DOWN
         if frac_tw < 0.2:
-            self.tw_pen *= p.penalty_up
+            self.tw_pen *= PENALTY_UP
         elif frac_tw > 0.6:
-            self.tw_pen *= p.penalty_down
-        self.cap_pen = min(max(self.cap_pen, p.penalty_lo), p.penalty_hi)
-        self.tw_pen = min(max(self.tw_pen, p.penalty_lo), p.penalty_hi)
+            self.tw_pen *= PENALTY_DOWN
+        self.cap_pen = min(max(self.cap_pen, PENALTY_LO), PENALTY_HI)
+        self.tw_pen = min(max(self.tw_pen, PENALTY_LO), PENALTY_HI)
 
     def _insert_new(self, ind: Individual) -> None:
         self._consider_incumbent(ind)
@@ -1290,7 +1292,7 @@ class PcHgs:
             child = self.srex_crossover(a, b)
             self.mutate_random_remove_insert(child)
             self._improve(child)
-            if self.rng.random() < p.p_opt:
+            if self.rng.random() < P_OPT:
                 if self.optimize_request_set(child, perturb=True):
                     self._improve(child)
             self._insert_new(child)
@@ -1300,7 +1302,7 @@ class PcHgs:
                 stall = 0
             else:
                 stall += 1
-            if self.iterations % p.adapt_period == 0:
+            if self.iterations % ADAPT_PERIOD == 0:
                 self._adapt_penalties()
             self.trace.append(self.incumbent.objective if self.incumbent else -math.inf)
         if self.incumbent is None:

@@ -97,26 +97,19 @@ class PcSolution:
 
 @dataclass
 class HgsParams:
-    """Search parameters. Defaults are small-population settings for desk scale."""
+    """Search parameters. Defaults are small-population settings for desk scale.
+
+    The fixed search constants (granularity, penalties and their adaptation,
+    request-set perturbation range) live in ``solver``.
+    """
 
     mu: int = 12
     lam: int = 20
     elite: int = 4
     n_closest: int = 3
-    granularity: int = 20
     p_mut: float = 0.3
     alpha_rm: float = 0.1
     alpha_ins: float = 0.1
-    p_opt: float = 0.25
-    delta_lo: float = 0.8
-    delta_hi: float = 1.2
-    cap_penalty: float | None = None
-    tw_penalty: float = 3.0
-    penalty_up: float = 1.2
-    penalty_down: float = 0.85
-    penalty_lo: float = 0.1
-    penalty_hi: float = 1e5
-    adapt_period: int = 100
     budget_iters: int | None = 600
     budget_s: float | None = None
     stall_iters: int | None = None
@@ -124,13 +117,8 @@ class HgsParams:
     seed: int = 0
 
     def validate(self) -> None:
-        for p in (self.p_mut, self.p_opt):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("probabilities must lie in [0, 1]")
-        if not (0.0 < self.delta_lo <= self.delta_hi):
-            raise ValueError("need 0 < delta_lo <= delta_hi")
-        if self.granularity < 1:
-            raise ValueError("granularity must be >= 1")
+        if not (0.0 <= self.p_mut <= 1.0):
+            raise ValueError("p_mut must lie in [0, 1]")
         if self.mu < 1 or self.lam < 1:
             raise ValueError("population sizes must be positive")
         if self.budget_iters is None and self.budget_s is None:

@@ -32,7 +32,6 @@ class PolicySpec:
     budget_s: float | None = None
     stall_iters: int | None = None
     n_scenarios: int = 9
-    threshold: float = 0.5
     model_path: str | None = None
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind: {self.kind}")
         if self.n_scenarios < 1:
             raise ValueError("n_scenarios must be >= 1")
-        if not (0.0 < self.threshold <= 1.0):
-            raise ValueError("threshold must lie in (0, 1]")
         if self.kind == "ml_co" and self.model_path is None:
             raise ValueError("ml_co policy needs a model_path")
 
@@ -142,19 +139,15 @@ def _scenario_dispatch_ids(
 def decide_rolling_horizon(
     state: SystemState, inst: StaticInstance, cfg: DynamicConfig, spec: PolicySpec
 ) -> Decision:
-    if state.epoch >= cfg.n_epochs - 1:
-        return decide_greedy(state, inst, cfg, spec)
-    ids, _ = _scenario_dispatch_ids(state, inst, cfg, spec, scenario_idx=0, share=0.8)
-    keep = [r for r in state.open if r.id in ids]
-    return _mandatory_decision(
-        keep, inst, state.t_e + cfg.dispatch_offset, _params(spec, state.epoch, share=0.2)
-    )
+    """The monte-carlo rule over one scenario."""
+    return decide_monte_carlo(state, inst, cfg, dataclasses.replace(spec, n_scenarios=1))
 
 
 def decide_monte_carlo(
     state: SystemState, inst: StaticInstance, cfg: DynamicConfig, spec: PolicySpec
 ) -> Decision:
-    """Majority vote of the rolling-horizon dispatch rule over several scenarios."""
+    """Majority vote of the rolling-horizon dispatch rule over several scenarios:
+    a postponable request leaves now if at least half of them dispatch it."""
     if state.epoch >= cfg.n_epochs - 1:
         return decide_greedy(state, inst, cfg, spec)
     votes: dict[int, int] = {}
@@ -163,7 +156,7 @@ def decide_monte_carlo(
         ids, _ = _scenario_dispatch_ids(state, inst, cfg, spec, scenario_idx=k, share=scenario_share)
         for i in ids:
             votes[i] = votes.get(i, 0) + 1
-    needed = math.ceil(spec.threshold * spec.n_scenarios)
+    needed = math.ceil(spec.n_scenarios / 2)
     must = state.must_dispatch_ids
     ids = must | {i for i, c in votes.items() if c >= needed}
     keep = [r for r in state.open if r.id in ids]

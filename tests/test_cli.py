@@ -265,6 +265,37 @@ def test_benchmark_reports_a_failed_policy_as_a_status_row(tmp_path, capsys, mon
     assert "no feasible solution found within budget" in capsys.readouterr().err
 
 
+def test_benchmark_leaves_the_gap_to_a_zero_baseline_empty(tmp_path):
+    # Every request of this instance closes within the first tenth of the day,
+    # so no scenario reveals a reachable one and the baseline costs 0.
+    empty_path = tmp_path / "empty.json"
+    run_cli("gen-instance", "--n", "10", "--seed", "3", "--close-band-hi", "0.1",
+            "--out", str(empty_path))
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "10", "--seed", "23", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [empty_path, inst_path], seeds=2)
+    cfg["policies"] = cfg["policies"][:1]
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    run_cli("benchmark", "--config", str(cfg_path))
+
+    with open(os.path.join(cfg["out_dir"], "results.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(r["status"] == "ok" for r in rows)
+    zero = [r for r in rows if r["baseline_cost"] == "0"]
+    rest = [r for r in rows if r["baseline_cost"] != "0"]
+    assert len(zero) == 2 and len(rest) == 2
+    assert all(r["relative_gap"] == "" for r in zero)
+    gaps = [(float(r["total_cost"]) - float(r["baseline_cost"])) / float(r["baseline_cost"])
+            for r in rest]
+    for r, gap in zip(rest, gaps):
+        assert abs(gap - float(r["relative_gap"])) <= 1e-6
+    agg = json.loads(open(os.path.join(cfg["out_dir"], "aggregate.json")).read())
+    assert agg["greedy"]["n_ok"] == 4
+    assert abs(agg["greedy"]["mean_gap"] - sum(gaps) / 2) <= 1e-12
+    assert abs(agg["greedy"]["var_gap"] - float(np.var(gaps))) <= 1e-12
+
+
 def test_benchmark_rejects_missing_model_before_solving(tmp_path, capsys, monkeypatch):
     inst_path = tmp_path / "inst.json"
     run_cli("gen-instance", "--n", "6", "--seed", "37", "--out", str(inst_path))

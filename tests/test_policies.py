@@ -208,6 +208,23 @@ def test_monte_carlo_single_scenario_equals_rolling_horizon_ids():
     mc = decide_monte_carlo(state, inst, cfg, s)
     ids, _ = policies._scenario_dispatch_ids(state, inst, cfg, s, scenario_idx=0, share=0.8)
     assert mc.dispatched_ids == ids
+    # Whole decisions agree in every epoch of rolling-horizon episodes.
+    compared = 0
+    for inst_seed, scen_seed in ((49, 17), (51, 5)):
+        inst = generate_instance(14, seed=inst_seed)
+        cfg = cfg_for(inst, n_epochs=4, seed=scen_seed)
+        rh = spec("rolling_horizon")
+        mc1 = dataclasses.replace(rh, kind="monte_carlo", n_scenarios=1)
+
+        def both(state):
+            nonlocal compared
+            decision = decide_rolling_horizon(state, inst, cfg, rh)
+            assert decide_monte_carlo(state, inst, cfg, mc1) == decision
+            compared += bool(state.open)
+            return decision
+
+        run_episode(inst, cfg, both)
+    assert compared >= 6
 
 
 def make_model(tmp_path, inst, bias=0.0):
@@ -280,9 +297,11 @@ def test_policy_episode_determinism(tmp_path):
 def test_spec_from_dict_validation():
     with pytest.raises(ValueError, match="unknown policy config keys"):
         spec_from_dict({"kind": "greedy", "bogus": 1})
+    with pytest.raises(ValueError, match=r"unknown policy config keys: \['threshold'\]"):
+        spec_from_dict({"kind": "monte_carlo", "n_scenarios": 5, "threshold": 0.6})
     with pytest.raises(ValueError, match="model_path"):
         spec_from_dict({"kind": "ml_co"})
     with pytest.raises(ValueError, match="unknown policy kind"):
         spec_from_dict({"kind": "alien"})
-    s = spec_from_dict({"kind": "monte_carlo", "n_scenarios": 5, "threshold": 0.6})
+    s = spec_from_dict({"kind": "monte_carlo", "n_scenarios": 5})
     assert s.n_scenarios == 5
