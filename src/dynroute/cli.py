@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .dataset import anticipative_baseline_cost, build_dataset, load_dataset
-from .instance import StaticInstance, generate_instance, load_instance
+from .instance import generate_instance, load_instance
 from .learning import PerturbationConfig, TrainConfig, load_model, save_model, train
 from .pchgs import HgsParams, PcInstance, solve
 from .policies import Policy, spec_from_dict
@@ -34,11 +34,11 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _dynamic_config(data: dict, instance_seed: int = 0) -> DynamicConfig:
+def _dynamic_config(data: dict) -> DynamicConfig:
     return DynamicConfig(
         n_epochs=int(data["n_epochs"]),
         sample_size=int(data["sample_size"]),
-        instance_seed=instance_seed,
+        instance_seed=0,
         epoch_duration=int(data.get("epoch_duration", 3600)),
         dispatch_offset=int(data.get("dispatch_offset", 3600)),
     )
@@ -123,6 +123,8 @@ def cmd_build_dataset(args) -> int:
     params = _hgs_params(_override_budget(config, args), seed=seed)
     instances = [load_instance(p) for p in config["instances"]]
     cfg = _dynamic_config(config["dynamic"])
+    for inst in instances:
+        cfg.validate(inst)
     count = build_dataset(
         instances, cfg, int(config.get("n_scenarios", 3)), params, seed, out
     )
@@ -195,16 +197,15 @@ def _run_policy_task(task: dict) -> dict:
     """One episode of one policy. Any exception it raises becomes the row's
     status, with the traceback reported, so one failed task does not abort
     the benchmark."""
-    inst = load_instance(task["instance_path"])
+    inst, cfg = task["inst"], task["cfg"]
     t0 = time.perf_counter()
     try:
-        cfg = _dynamic_config(task["dynamic"], instance_seed=task["seed"])
         policy = Policy(task["spec"], inst, cfg, model=task["model"])
         result = run_episode(inst, cfg, policy)
         wall = time.perf_counter() - t0
         return {
             "instance": inst.name,
-            "seed": task["seed"],
+            "seed": cfg.instance_seed,
             "policy": task["policy_name"],
             "status": "ok",
             "total_cost": result.total_cost,
@@ -216,7 +217,7 @@ def _run_policy_task(task: dict) -> dict:
         invalid = isinstance(exc, InvalidDecisionError)
         return {
             "instance": inst.name,
-            "seed": task["seed"],
+            "seed": cfg.instance_seed,
             "policy": task["policy_name"],
             "status": "invalid_decision" if invalid else f"error:{type(exc).__name__}",
             "error": str(exc) if invalid else traceback.format_exc(),
@@ -225,15 +226,22 @@ def _run_policy_task(task: dict) -> dict:
 
 
 def _run_baseline_task(task: dict) -> dict:
-    inst = load_instance(task["instance_path"])
-    cfg = _dynamic_config(task["dynamic"], instance_seed=task["seed"])
-    params = _hgs_params(task["baseline"], seed=task["seed"])
+    """The hindsight cost of one scenario. An exception it raises leaves the
+    cost None and becomes the result's status, with the traceback reported,
+    so one failed baseline does not abort the benchmark."""
+    inst, cfg = task["inst"], task["cfg"]
     t0 = time.perf_counter()
-    cost = anticipative_baseline_cost(inst, cfg, params)
+    try:
+        cost, status, error = anticipative_baseline_cost(inst, cfg, task["params"]), "ok", None
+    except Exception as exc:
+        cost, status, error = None, f"error:{type(exc).__name__}", traceback.format_exc()
     return {
         "instance": inst.name,
-        "seed": task["seed"],
+        "seed": cfg.instance_seed,
+        "policy": "anticipative",
         "cost": cost,
+        "status": status,
+        "error": error,
         "wall_time_s": time.perf_counter() - t0,
     }
 
@@ -248,8 +256,13 @@ def cmd_benchmark(args) -> int:
     base_seed = args.seed if args.seed is not None else int(config.get("base_seed", 1))
     n_seeds = int(config.get("n_instance_seeds", 20))
     seeds = [base_seed + k for k in range(n_seeds)]
-    # Parse every spec and load every model up front, so a bad config fails
-    # before any solving starts.
+    # Load every instance, check the dynamic config against each, parse every
+    # spec and load every model up front, so a bad config fails before any
+    # solving starts.
+    instances = [load_instance(p) for p in config["instances"]]
+    dynamic = _dynamic_config(config["dynamic"])
+    for inst in instances:
+        dynamic.validate(inst)
     policies = []
     for pdata in config["policies"]:
         pdata = _override_budget(pdata, args)
@@ -265,25 +278,23 @@ def cmd_benchmark(args) -> int:
 
     policy_tasks = [
         {
-            "instance_path": path,
-            "seed": seed,
-            "dynamic": config["dynamic"],
+            "inst": inst,
+            "cfg": dataclasses.replace(dynamic, instance_seed=seed),
             "spec": spec,
             "model": model,
             "policy_name": name,
         }
-        for path in config["instances"]
+        for inst in instances
         for seed in seeds
         for name, spec, model in policies
     ]
     baseline_tasks = [
         {
-            "instance_path": path,
-            "seed": seed,
-            "dynamic": config["dynamic"],
-            "baseline": baseline_cfg,
+            "inst": inst,
+            "cfg": dataclasses.replace(dynamic, instance_seed=seed),
+            "params": _hgs_params(baseline_cfg, seed=seed),
         }
-        for path in config["instances"]
+        for inst in instances
         for seed in seeds
     ]
 
@@ -300,8 +311,8 @@ def cmd_benchmark(args) -> int:
     policy_results.sort(key=lambda r: (r["instance"], r["seed"], r["policy"]))
 
     def gap_of(r: dict) -> float | None:
-        """Relative gap to the baseline; None when the baseline costs 0 (a
-        scenario that reveals no reachable request)."""
+        """Relative gap to the baseline; None when the baseline failed or
+        costs 0 (a scenario that reveals no reachable request)."""
         base = baseline_by_key[(r["instance"], r["seed"])]
         return (r["total_cost"] - base) / base if base else None
 
@@ -317,6 +328,8 @@ def cmd_benchmark(args) -> int:
         )
         for r in policy_results:
             base = baseline_by_key[(r["instance"], r["seed"])]
+            if base is None:
+                base = ""
             if r["status"] == "ok":
                 gap = gap_of(r)
                 writer.writerow(
@@ -346,7 +359,7 @@ def cmd_benchmark(args) -> int:
         for r in policy_results:
             writer.writerow([r["instance"], r["seed"], r["policy"], f"{r['wall_time_s']:.3f}"])
         for r in sorted(baseline_results, key=lambda r: (r["instance"], r["seed"])):
-            writer.writerow([r["instance"], r["seed"], "anticipative", f"{r['wall_time_s']:.3f}"])
+            writer.writerow([r["instance"], r["seed"], r["policy"], f"{r['wall_time_s']:.3f}"])
 
     aggregate: dict[str, dict] = {}
     for name, _, _ in policies:
@@ -363,10 +376,11 @@ def cmd_benchmark(args) -> int:
             "mean_cost": float(np.mean(costs)) if costs else None,
             "var_cost": float(np.var(costs)) if costs else None,
         }
+    baseline_costs = [c for c in baseline_by_key.values() if c is not None]
     aggregate["anticipative"] = {
-        "mean_cost": float(np.mean(list(baseline_by_key.values()))),
-        "var_cost": float(np.var(list(baseline_by_key.values()))),
-        "n": len(baseline_by_key),
+        "mean_cost": float(np.mean(baseline_costs)) if baseline_costs else None,
+        "var_cost": float(np.var(baseline_costs)) if baseline_costs else None,
+        "n": len(baseline_costs),
     }
     _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
 
@@ -375,7 +389,7 @@ def cmd_benchmark(args) -> int:
             name = f"{r['instance']}__{r['seed']}__{r['policy']}.json"
             _write_json(os.path.join(out_dir, "runs", name), r["record"])
 
-    for r in policy_results:
+    for r in baseline_results + policy_results:
         if r["status"] != "ok":
             print(f"benchmark: {r['instance']}/{r['seed']}/{r['policy']}: {r['status']}: "
                   f"{r['error']}", file=sys.stderr)

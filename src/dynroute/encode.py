@@ -22,7 +22,6 @@ def build_pc_instance(
     departure: int,
     prizes: Sequence[float] | None = None,
     forced_in_ids: Sequence[int] = (),
-    forced_out_ids: Sequence[int] = (),
     release_by_id: dict[int, int] | None = None,
 ) -> PcInstance:
     """Restrict the static matrix to depot + the given requests."""
@@ -44,7 +43,6 @@ def build_pc_instance(
         horizon=inst.horizon,
         release=release,
         forced_in=frozenset(id_to_idx[i] for i in forced_in_ids),
-        forced_out=frozenset(id_to_idx[i] for i in forced_out_ids),
         ids=tuple(r.id for r in requests),
     )
 

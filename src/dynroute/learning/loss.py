@@ -27,7 +27,6 @@ class PerturbationConfig:
     epsilon: float = 1.0
     n_samples: int = 10
     seed: int = 0
-    exact_inner: bool = False
     exact_auto_max: int = 8
     inner_params: HgsParams = field(
         default_factory=lambda: HgsParams(budget_iters=80, stall_iters=40)
@@ -43,7 +42,7 @@ class PerturbationConfig:
 class ExactInner:
     """Exact argmax oracle; the routing tables are built once per state."""
 
-    def __init__(self, pc: PcInstance, max_requests: int = 8):
+    def __init__(self, pc: PcInstance, max_requests: int):
         self.pc = pc
         self._solver = ExactSolver(pc, max_requests=max_requests)
 
@@ -78,13 +77,10 @@ def inner_for_sample(
 ):
     """Argmax oracle over the sample's feasible decisions (must-dispatch forced).
 
-    ``exact_inner`` demands the exact oracle (error if the state is too big);
-    otherwise states up to ``exact_auto_max`` requests still get the exact
-    oracle (cheaper and noise-free), larger ones the metaheuristic.
+    States up to ``exact_auto_max`` requests get the exact oracle (cheaper
+    and noise-free), larger ones the metaheuristic.
     """
     pc = pc_for_state(sample.state, inst, cfg, prizes=None, force_must_dispatch=True)
-    if pcfg.exact_inner:
-        return ExactInner(pc)
     if pc.n_requests <= pcfg.exact_auto_max:
         return ExactInner(pc, max_requests=pcfg.exact_auto_max)
     return HgsInner(pc, pcfg.inner_params)

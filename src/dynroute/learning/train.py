@@ -112,7 +112,6 @@ def train(
         "seed": tcfg.seed,
         "model_seed": tcfg.model_seed,
         "set_kind": set_kind,
-        "exact_inner": pcfg.exact_inner,
     }
     inners: dict[int, object] = {}
 

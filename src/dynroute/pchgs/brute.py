@@ -154,9 +154,8 @@ class ExactSolver:
     def served_vector(self, mask: int) -> np.ndarray:
         return np.array([(mask >> r) & 1 for r in range(self.n)], dtype=float)
 
-    def solve(self, prizes=None) -> PcSolution:
-        theta = self.inst.prizes if prizes is None else tuple(prizes)
-        value, mask = self.argmax(theta)
+    def solve(self) -> PcSolution:
+        value, mask = self.argmax(self.inst.prizes)
         served = frozenset(r for r in range(self.n) if mask >> r & 1)
         return PcSolution(
             routes=self.routes_for_mask(mask),
@@ -167,6 +166,6 @@ class ExactSolver:
         )
 
 
-def brute_force_solve(inst: PcInstance, max_requests: int = 8) -> PcSolution:
+def brute_force_solve(inst: PcInstance) -> PcSolution:
     """Exact optimum by served-subset enumeration plus set-partition DP."""
-    return ExactSolver(inst, max_requests=max_requests).solve()
+    return ExactSolver(inst).solve()

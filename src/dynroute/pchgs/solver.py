@@ -30,6 +30,11 @@ from .types import (
 _EPS = 1e-9
 
 # Fixed search constants.
+MU, LAM = 12, 20  # subpopulation size after survivor selection, and the overflow that triggers it
+ELITE = 4  # best-objective members that survivor selection never evicts
+N_CLOSEST = 3  # nearest members whose distances make up a member's diversity
+P_MUT = 0.3  # chance of the remove/insert mutation on each child
+ALPHA_RM, ALPHA_INS = 0.1, 0.1  # shares of served/unserved requests that mutation removes/inserts
 GRANULARITY = 20  # granular neighbors kept per request
 P_OPT = 0.25  # chance of a perturbed request-set pass on each child
 DELTA_LO, DELTA_HI = 0.8, 1.2  # range of that pass's saving/detour factors
@@ -319,8 +324,7 @@ class Population:
     evicts the elite by objective.
     """
 
-    def __init__(self, params: HgsParams):
-        self.params = params
+    def __init__(self):
         self.feasible = _Subpopulation()
         self.infeasible = _Subpopulation()
         self._cache = None
@@ -328,32 +332,27 @@ class Population:
     def members(self) -> list[Individual]:
         return self.feasible + self.infeasible
 
-    @staticmethod
-    def distance(a: Individual, b: Individual) -> int:
-        return _sig_distance(_signature(a), _signature(b))
-
     def update(self, ind: Individual, cap_pen: float, tw_pen: float) -> None:
         sub = self.feasible if ind.feasible else self.infeasible
         sub.add(ind)
         self._cache = None
-        if len(sub) > self.params.mu + self.params.lam:
+        if len(sub) > MU + LAM:
             self._select_survivors(sub, cap_pen, tw_pen)
 
     def _ranked(self, sub: _Subpopulation, cap_pen: float, tw_pen: float):
         """Biased fitness of each member (lower is better), and the members
         from best to worst objective.
 
-        Fitness is the objective rank plus ``1 - elite/k`` times the diversity
-        rank; diversity is the summed distance to the ``n_closest`` nearest
+        Fitness is the objective rank plus ``1 - ELITE/k`` times the diversity
+        rank; diversity is the summed distance to the ``N_CLOSEST`` nearest
         other members, larger ranking better. A member's own zero sorts first
         in its row, so the nearest others follow it.
         """
         k = len(sub)
         if k == 0:
             return [], []
-        n_close = self.params.n_closest
         objs = [ind.penalized_objective(cap_pen, tw_pen) for ind in sub]
-        div = [-sum(sorted(row)[1 : n_close + 1]) for row in sub.dists]
+        div = [-sum(sorted(row)[1 : N_CLOSEST + 1]) for row in sub.dists]
         by_obj = sorted(range(k), key=lambda i: -objs[i])
         obj_rank = [0] * k
         div_rank = [0] * k
@@ -361,14 +360,14 @@ class Population:
             obj_rank[i] = rank
         for rank, i in enumerate(sorted(range(k), key=lambda i: div[i])):
             div_rank[i] = rank
-        w = 1.0 - self.params.elite / k
+        w = 1.0 - ELITE / k
         return [obj_rank[i] + w * div_rank[i] for i in range(k)], by_obj
 
     def _select_survivors(self, sub: _Subpopulation, cap_pen: float, tw_pen: float) -> None:
-        while len(sub) > self.params.mu:
+        while len(sub) > MU:
             k = len(sub)
             fitness, by_obj = self._ranked(sub, cap_pen, tw_pen)
-            protected = set(by_obj[: max(1, self.params.elite)])
+            protected = set(by_obj[:ELITE])
             # the diagonal holds one zero; another marks a clone
             is_clone = [row.count(0) > 1 for row in sub.dists]
             victims = sorted(
@@ -409,13 +408,12 @@ class PcHgs:
         self.cap_pen = max(1.0, inst.max_cost() / max(1, max(inst.demand, default=1)))
         self.tw_pen = TW_PENALTY
         self._neighbors = self._granular_neighbors()
-        self.pop = Population(params)
+        self.pop = Population()
         self.incumbent: _Incumbent | None = None
         self.iterations = 0
         # Feasibility of the last ADAPT_PERIOD local-search outputs.
         self._ls_cap_feas: deque[bool] = deque(maxlen=ADAPT_PERIOD)
         self._ls_tw_feas: deque[bool] = deque(maxlen=ADAPT_PERIOD)
-        self.trace: list[float] = []
         # Route certificates (see local_search): interned route tuples, and per
         # (cap_pen, tw_pen) the ordered pairs of route ids known to be a fixed
         # point of the pair moves, RELOCATE* and SWAP*.
@@ -1126,18 +1124,18 @@ class PcHgs:
     def mutate_random_remove_insert(self, ind: Individual) -> None:
         """Coin-toss mutation: drop a slice of served or insert a slice of unserved."""
         rng = self.rng
-        if rng.random() >= self.params.p_mut:
+        if rng.random() >= P_MUT:
             return
         work = _Work(self.ctx, ind.routes)
         served = work.served()
         if rng.random() < 0.5:
             pool = sorted(served - self.forced_in)
-            k = min(int(self.params.alpha_rm * len(served)), len(pool))
+            k = min(int(ALPHA_RM * len(served)), len(pool))
             for r in (rng.permutation(pool)[:k].tolist() if k > 0 else []):
                 work.remove(r)
         else:
             pool = sorted(set(self.allowed) - served)
-            k = min(int(self.params.alpha_ins * len(pool)), len(pool))
+            k = min(int(ALPHA_INS * len(pool)), len(pool))
             for r in (rng.permutation(pool)[:k].tolist() if k > 0 else []):
                 self._apply_best_insertion(work, r)
         self._refresh(ind, work)
@@ -1260,7 +1258,7 @@ class PcHgs:
         seeded = self.make_individual(self.split(self._construction_order()))
         self._improve(seeded)
         self._insert_new(seeded)
-        target = self.params.init_pool or (self.params.mu + self.params.lam)
+        target = self.params.init_pool or (MU + LAM)
         while len(self.pop.members()) < target:
             ind = self._random_individual()
             self._improve(ind)
@@ -1304,7 +1302,6 @@ class PcHgs:
                 stall += 1
             if self.iterations % ADAPT_PERIOD == 0:
                 self._adapt_penalties()
-            self.trace.append(self.incumbent.objective if self.incumbent else -math.inf)
         if self.incumbent is None:
             raise PcInfeasibleError("no feasible solution found within budget")
         served = frozenset(v for r in self.incumbent.routes for v in r)

@@ -97,19 +97,15 @@ class PcSolution:
 
 @dataclass
 class HgsParams:
-    """Search parameters. Defaults are small-population settings for desk scale.
+    """Search budget: an iteration and/or wall-clock limit, an optional stall
+    limit, the initial pool size (default: the population's full size) and
+    the seed.
 
-    The fixed search constants (granularity, penalties and their adaptation,
-    request-set perturbation range) live in ``solver``.
+    Everything else about the search (population sizes, elite, closest
+    neighbours, mutation rates, granularity, penalties and their adaptation,
+    request-set perturbation range) is a fixed constant in ``solver``.
     """
 
-    mu: int = 12
-    lam: int = 20
-    elite: int = 4
-    n_closest: int = 3
-    p_mut: float = 0.3
-    alpha_rm: float = 0.1
-    alpha_ins: float = 0.1
     budget_iters: int | None = 600
     budget_s: float | None = None
     stall_iters: int | None = None
@@ -117,10 +113,6 @@ class HgsParams:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (0.0 <= self.p_mut <= 1.0):
-            raise ValueError("p_mut must lie in [0, 1]")
-        if self.mu < 1 or self.lam < 1:
-            raise ValueError("population sizes must be positive")
         if self.budget_iters is None and self.budget_s is None:
             raise ValueError("one of budget_iters / budget_s must be set")
 

@@ -198,10 +198,8 @@ def classify_must_dispatch(
     return replace(state, open=flagged)
 
 
-def initial_state(
-    inst: StaticInstance, cfg: DynamicConfig, rng: np.random.Generator | None = None
-) -> SystemState:
-    state = SystemState(epoch=0, t_e=0, open=sample_epoch(inst, cfg, 0, rng))
+def initial_state(inst: StaticInstance, cfg: DynamicConfig) -> SystemState:
+    state = SystemState(epoch=0, t_e=0, open=sample_epoch(inst, cfg, 0))
     return classify_must_dispatch(state, inst, cfg)
 
 
@@ -270,13 +268,12 @@ def transition(
     decision: Decision,
     inst: StaticInstance,
     cfg: DynamicConfig,
-    rng: np.random.Generator | None = None,
 ) -> SystemState:
     """Remove dispatched requests, reveal the next epoch's sample, reflag."""
     dispatched = decision.dispatched_ids
     next_epoch = state.epoch + 1
     carried = tuple(r for r in state.open if r.id not in dispatched)
-    arrivals = sample_epoch(inst, cfg, next_epoch, rng) if next_epoch < cfg.n_epochs else ()
+    arrivals = sample_epoch(inst, cfg, next_epoch) if next_epoch < cfg.n_epochs else ()
     nxt = SystemState(
         epoch=next_epoch, t_e=cfg.epoch_start(next_epoch), open=carried + arrivals
     )
@@ -287,7 +284,6 @@ def run_episode(
     inst: StaticInstance,
     cfg: DynamicConfig,
     policy: Callable[[SystemState], Decision],
-    epoch_budget_s: float | None = None,
 ) -> EpisodeResult:
     """Run one full episode; every decision is validated before it is applied.
 

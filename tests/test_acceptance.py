@@ -129,7 +129,7 @@ def gradient_fixtures(n_fixtures: int, max_open: int):
         k = int(rng.integers(1, len(ids)))
         target = rng.choice(ids, size=k, replace=False).tolist()
         sample = sample_with_exact_target(inst, cfg, state, target)
-        inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+        inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
         fixtures.append((inst, cfg, sample, inner))
     return fixtures
 
@@ -211,7 +211,7 @@ def run_criterion_3(fixtures) -> dict:
         dim = len(sample.state.open)
         rng = np.random.default_rng([900, idx])
         theta = rng.uniform(-10.0, 20.0, size=dim)
-        pcfg = PerturbationConfig(epsilon=1.0, n_samples=1000, seed=idx, exact_inner=True)
+        pcfg = PerturbationConfig(epsilon=1.0, n_samples=1000, seed=idx)
         z = np.random.default_rng([901, idx]).standard_normal((1000, dim))
         out = perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
         h = 0.05
@@ -262,7 +262,7 @@ def run_criterion_4(fixtures) -> dict:
         theta = rng.uniform(-10.0, 20.0, size=dim)
         if regret_loss(theta, sample, inner) < -1e-9:
             nonneg_violations += 1
-        pcfg = PerturbationConfig(epsilon=2.0, n_samples=300, seed=idx, exact_inner=True)
+        pcfg = PerturbationConfig(epsilon=2.0, n_samples=300, seed=idx)
         z = np.random.default_rng([911, idx]).standard_normal((300, dim))
         out = perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
         natural = regret_loss(theta, sample, inner)
@@ -271,7 +271,7 @@ def run_criterion_4(fixtures) -> dict:
         target = {r.id for r, flag in zip(sample.state.open, sample.target_served) if flag}
         base = forcing_prizes(sample.state, target, inst)
         m = float(abs(base).max())
-        probe_cfg = PerturbationConfig(epsilon=m, n_samples=300, seed=idx, exact_inner=True)
+        probe_cfg = PerturbationConfig(epsilon=m, n_samples=300, seed=idx)
         losses = [
             perturbed_loss_and_grad(lam * base, sample, inner, probe_cfg, z=z).loss
             for lam in (1, 10, 100)

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from dynroute import cli
 from dynroute.cli import main
 from dynroute.instance import load_instance
 from dynroute.learning import init_model, load_model
-from dynroute.pchgs import PcInfeasibleError, brute_force_solve
+from dynroute.pchgs import HgsParams, PcInfeasibleError, brute_force_solve
 
 from helpers import pc_from_static
 
@@ -296,6 +298,107 @@ def test_benchmark_leaves_the_gap_to_a_zero_baseline_empty(tmp_path):
     assert abs(agg["greedy"]["var_gap"] - float(np.var(gaps))) <= 1e-12
 
 
+def test_benchmark_reports_a_failed_baseline_as_empty_cells(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "8", "--seed", "43", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [inst_path], seeds=2)
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    baseline = cli.anticipative_baseline_cost
+
+    def fail_seed_4(inst, dyn, params):
+        if dyn.instance_seed == 4:
+            raise PcInfeasibleError("no feasible solution found within budget")
+        return baseline(inst, dyn, params)
+
+    monkeypatch.setattr(cli, "anticipative_baseline_cost", fail_seed_4)
+    run_cli("benchmark", "--config", str(cfg_path))
+    with open(os.path.join(cfg["out_dir"], "results.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(r["status"] == "ok" for r in rows)
+    failed = [r for r in rows if r["seed"] == "4"]
+    kept = [r for r in rows if r["seed"] == "3"]
+    assert len(failed) == 2 and len(kept) == 2
+    assert all(r["baseline_cost"] == "" and r["relative_gap"] == "" for r in failed)
+    assert all(float(r["total_cost"]) > 0 for r in failed)
+    assert all(float(r["baseline_cost"]) > 0 and r["relative_gap"] for r in kept)
+    agg = json.loads(open(os.path.join(cfg["out_dir"], "aggregate.json")).read())
+    assert agg["anticipative"] == {"mean_cost": float(kept[0]["baseline_cost"]),
+                                   "var_cost": 0.0, "n": 1}
+    for name in ("greedy", "lazy"):
+        (row,) = [r for r in kept if r["policy"] == name]
+        assert agg[name]["n_ok"] == 2
+        assert abs(agg[name]["mean_gap"] - float(row["relative_gap"])) <= 1e-6
+    err = capsys.readouterr().err
+    assert "/4/anticipative: error:PcInfeasibleError" in err
+    assert "no feasible solution found within budget" in err
+
+
+def count_baselines(monkeypatch) -> list:
+    """Names of the instances whose baseline the benchmark goes on to solve
+    (each costs 1)."""
+    calls = []
+
+    def fake_baseline(inst, *args, **kwargs):
+        calls.append(inst.name)
+        return 1
+
+    monkeypatch.setattr("dynroute.cli.anticipative_baseline_cost", fake_baseline)
+    return calls
+
+
+def test_benchmark_rejects_a_missing_instance_before_solving(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "6", "--seed", "37", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [inst_path, tmp_path / "missing.json"], seeds=2)
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    calls = count_baselines(monkeypatch)
+    rc = main(["benchmark", "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "FileNotFoundError"
+    assert calls == []
+
+
+def test_benchmark_rejects_epochs_past_the_horizon_before_solving(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "6", "--seed", "37", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [inst_path])
+    cfg["dynamic"]["n_epochs"] = 8  # 8 x 4,000 s > the 28,800 s horizon
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    calls = count_baselines(monkeypatch)
+    rc = main(["benchmark", "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError" and "exceeds horizon 28800" in payload["error"]
+    assert calls == []
+    assert not os.path.exists(os.path.join(cfg["out_dir"], "results.csv"))
+
+
+def test_build_dataset_rejects_epochs_past_the_horizon(tmp_path, capsys):
+    cfg = dataset_config(tmp_path, ["tests/fixtures/bench_a.json"], n_scenarios=1)
+    cfg["dynamic"] = {"n_epochs": 9, "sample_size": 5, "epoch_duration": 3600,
+                      "dispatch_offset": 3600}  # 9 x 3,600 s > bench_a's 28,800 s
+    cfg_path = tmp_path / "build.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["build-dataset", "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError" and "exceeds horizon 28800" in payload["error"]
+    assert not os.path.exists(cfg["out"])
+
+
+def test_hgs_params_are_the_budget_a_config_sets():
+    fields = [f.name for f in dataclasses.fields(HgsParams) if f.name != "seed"]
+    for name in fields:
+        value = getattr(HgsParams(), name)
+        changed = 7 if value is None else value + 1
+        params = cli._hgs_params({name: changed}, seed=0)
+        assert getattr(params, name) == changed, name
+
+
 def test_benchmark_rejects_missing_model_before_solving(tmp_path, capsys, monkeypatch):
     inst_path = tmp_path / "inst.json"
     run_cli("gen-instance", "--n", "6", "--seed", "37", "--out", str(inst_path))
@@ -304,13 +407,7 @@ def test_benchmark_rejects_missing_model_before_solving(tmp_path, capsys, monkey
                             "seed": 1, "model_path": str(tmp_path / "missing.json")})
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps(cfg))
-    baseline_calls = []
-
-    def fake_baseline(inst, *args, **kwargs):
-        baseline_calls.append(inst.name)
-        return 1
-
-    monkeypatch.setattr("dynroute.cli.anticipative_baseline_cost", fake_baseline)
+    baseline_calls = count_baselines(monkeypatch)
     rc = main(["benchmark", "--config", str(cfg_path)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -244,7 +244,7 @@ def test_regret_zero_when_target_is_argmax():
     inst, cfg = small_world(seed=8)
     state = state_with(inst, cfg, limit=4)
     sample = sample_with_target(inst, cfg, state, [r.id for r in state.open[:2]])
-    pcfg = PerturbationConfig(exact_inner=True)
+    pcfg = PerturbationConfig()
     inner = inner_for_sample(sample, inst, cfg, pcfg)
     theta = forcing_prizes(sample.state, {r.id for r, f in zip(state.open, sample.target_served) if f}, inst)
     assert abs(regret_loss(theta, sample, inner)) <= 1e-9
@@ -260,7 +260,7 @@ def test_regret_nonnegative_with_exact_inner():
         ids = [r.id for r in state.open]
         target = rng.choice(ids, size=max(1, len(ids) // 2), replace=False).tolist()
         sample = sample_with_target(inst, cfg, state, target)
-        inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+        inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
         theta = rng.uniform(-20, 40, size=len(ids))
         assert regret_loss(theta, sample, inner) >= -1e-9
 
@@ -277,7 +277,7 @@ def test_forcing_prizes_formula_and_effect():
     assert list(theta) == [m, -m, m]
 
     sample = sample_with_target(inst, cfg, state, target)
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     value, served = inner.solve(theta)
     assert [bool(x) for x in served] == [True, False, True]
     assert abs(regret_loss(theta, sample, inner)) <= 1e-9
@@ -292,7 +292,7 @@ def test_forcing_prizes_empty_target_yields_empty_solution():
         open=tuple(dataclasses.replace(r, must_dispatch=False) for r in state.open),
     )
     sample = sample_with_target(inst, cfg, state, [])
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     theta = forcing_prizes(state, set(), inst)
     value, served = inner.solve(theta)
     assert not any(served)
@@ -303,9 +303,9 @@ def test_gradient_zero_when_argmax_always_target():
     state = state_with(inst, cfg, limit=4)
     target = {r.id for r in state.open}
     sample = sample_with_target(inst, cfg, state, target)
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     theta = forcing_prizes(state, target, inst) * 100.0
-    pcfg = PerturbationConfig(epsilon=1.0, n_samples=20, seed=3, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=1.0, n_samples=20, seed=3)
     out = perturbed_loss_and_grad(theta, sample, inner, pcfg)
     assert np.array_equal(out.grad, np.zeros(len(state.open)))
     # summation order differs between the inner oracle and the dot product
@@ -318,10 +318,10 @@ def test_gradient_coordinates_bounded():
     state = state_with(inst, cfg, limit=5)
     ids = [r.id for r in state.open]
     sample = sample_with_target(inst, cfg, state, ids[:2])
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     for trial in range(5):
         theta = rng.uniform(-30, 30, size=len(ids))
-        pcfg = PerturbationConfig(epsilon=5.0, n_samples=30, seed=trial, exact_inner=True)
+        pcfg = PerturbationConfig(epsilon=5.0, n_samples=30, seed=trial)
         out = perturbed_loss_and_grad(theta, sample, inner, pcfg)
         assert np.all(out.grad >= -1.0 - 1e-12) and np.all(out.grad <= 1.0 + 1e-12)
 
@@ -337,9 +337,9 @@ def test_perturbed_loss_dominates_regret_within_noise():
             continue
         ids = [r.id for r in state.open]
         sample = sample_with_target(inst, cfg, state, ids[: len(ids) // 2])
-        inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+        inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
         theta = rng.uniform(-20, 30, size=len(ids))
-        pcfg = PerturbationConfig(epsilon=2.0, n_samples=200, seed=seed, exact_inner=True)
+        pcfg = PerturbationConfig(epsilon=2.0, n_samples=200, seed=seed)
         out = perturbed_loss_and_grad(theta, sample, inner, pcfg)
         natural = regret_loss(theta, sample, inner)
         total += 1
@@ -353,11 +353,11 @@ def test_gradient_matches_finite_differences_with_crn():
     state = state_with(inst, cfg, limit=4)
     ids = [r.id for r in state.open]
     sample = sample_with_target(inst, cfg, state, ids[:2])
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     rng = np.random.default_rng(16)
     dim = len(ids)
     theta = rng.uniform(-10, 20, size=dim)
-    pcfg = PerturbationConfig(epsilon=1.0, n_samples=400, seed=4, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=1.0, n_samples=400, seed=4)
     z = np.random.default_rng(17).standard_normal((400, dim))
     out = perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
     h = 0.05
@@ -380,10 +380,10 @@ def test_loss_scaling_probe_non_increasing_to_zero():
     state = state_with(inst, cfg, limit=4)
     target = {r.id for r in list(state.open)[:2]} | state.must_dispatch_ids
     sample = sample_with_target(inst, cfg, state, target)
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     base = forcing_prizes(state, target, inst)
     m = abs(base[0])
-    pcfg = PerturbationConfig(epsilon=float(m), n_samples=300, seed=5, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=float(m), n_samples=300, seed=5)
     z = np.random.default_rng(19).standard_normal((300, len(state.open)))
     losses = [
         perturbed_loss_and_grad(lam * base, sample, inner, pcfg, z=z).loss
@@ -399,12 +399,12 @@ def test_loss_value_invariant_under_permutation():
     state = state_with(inst, cfg, limit=4)
     ids = [r.id for r in state.open]
     sample = sample_with_target(inst, cfg, state, ids[:2])
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     dim = len(ids)
     rng = np.random.default_rng(20)
     theta = rng.uniform(-10, 20, size=dim)
     z = rng.standard_normal((100, dim))
-    pcfg = PerturbationConfig(epsilon=1.5, n_samples=100, seed=6, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=1.5, n_samples=100, seed=6)
     out = perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
 
     perm = list(reversed(range(dim)))
@@ -419,7 +419,7 @@ def test_loss_value_invariant_under_permutation():
         target_served=tuple(sample.target_served[i] for i in perm),
         target_h=sample.target_h,
     )
-    p_inner = inner_for_sample(p_sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    p_inner = inner_for_sample(p_sample, inst, cfg, PerturbationConfig())
     p_out = perturbed_loss_and_grad(theta[perm], p_sample, p_inner, pcfg, z=z[:, perm])
     assert abs(out.loss - p_out.loss) <= 1e-9
     assert np.allclose(out.grad[perm], p_out.grad)
@@ -430,11 +430,11 @@ def test_loss_convexity_probe_with_crn():
     state = state_with(inst, cfg, limit=4)
     ids = [r.id for r in state.open]
     sample = sample_with_target(inst, cfg, state, ids[:2])
-    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig(exact_inner=True))
+    inner = inner_for_sample(sample, inst, cfg, PerturbationConfig())
     dim = len(ids)
     rng = np.random.default_rng(22)
     z = rng.standard_normal((150, dim))
-    pcfg = PerturbationConfig(epsilon=2.0, n_samples=150, seed=7, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=2.0, n_samples=150, seed=7)
 
     def loss_at(theta):
         return perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
@@ -471,7 +471,7 @@ def test_train_zero_learning_rate_keeps_weights():
     from dynroute.learning import TrainConfig, train
 
     samples, instances, cfg = tiny_dataset()
-    pcfg = PerturbationConfig(epsilon=0.5, n_samples=4, seed=1, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=0.5, n_samples=4, seed=1)
     tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.0, optimizer="sgd", seed=2)
     result = train(samples, instances, cfg, set_kind="model_free", model_kind="mlp",
                    pcfg=pcfg, tcfg=tcfg)
@@ -486,7 +486,7 @@ def test_train_loss_decreases_on_tiny_dataset():
     from dynroute.learning import TrainConfig, train
 
     samples, instances, cfg = tiny_dataset()
-    pcfg = PerturbationConfig(epsilon=1.0, n_samples=6, seed=3, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=1.0, n_samples=6, seed=3)
     tcfg = TrainConfig(epochs=10, batch_size=3, learning_rate=0.05, optimizer="adam", seed=4)
     result = train(samples, instances, cfg, set_kind="model_free", model_kind="mlp",
                    pcfg=pcfg, tcfg=tcfg)
@@ -500,7 +500,7 @@ def test_train_deterministic_given_seeds():
     from dynroute.learning import model_to_json_dict
 
     samples, instances, cfg = tiny_dataset()
-    pcfg = PerturbationConfig(epsilon=1.0, n_samples=4, seed=5, exact_inner=True)
+    pcfg = PerturbationConfig(epsilon=1.0, n_samples=4, seed=5)
     tcfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.05, optimizer="adam", seed=6)
     r1 = train(samples, instances, cfg, set_kind="model_free", model_kind="linear",
                pcfg=pcfg, tcfg=tcfg)
@@ -508,3 +508,63 @@ def test_train_deterministic_given_seeds():
                pcfg=pcfg, tcfg=tcfg)
     assert model_to_json_dict(r1.model) == model_to_json_dict(r2.model)
     assert r1.log == r2.log
+
+
+def smoke_samples():
+    """The samples with open requests of configs/dataset_smoke.json's first
+    scenario (bench_a, scenario seed 1000)."""
+    import json
+
+    from dynroute.dataset import build_scenario_samples
+    from dynroute.instance import load_instance
+    from dynroute.pchgs import HgsParams
+
+    with open("configs/dataset_smoke.json", "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    inst = load_instance(config["instances"][0])
+    seed = config["seed"]
+    cfg = DynamicConfig(instance_seed=seed, **config["dynamic"])
+    params = HgsParams(budget_iters=config["budget_iters"], stall_iters=config["stall_iters"],
+                       seed=seed)
+    samples, _ = build_scenario_samples(inst, cfg, params)
+    return [s for s in samples if s.state.open], {inst.name: inst}, cfg
+
+
+def test_train_with_the_metaheuristic_inner_oracle(monkeypatch):
+    import importlib
+
+    from dynroute.learning import HgsInner, TrainConfig, train
+    from dynroute.pchgs import HgsParams
+
+    # the package's ``train`` is the function; the spy goes into its module
+    train_module = importlib.import_module("dynroute.learning.train")
+
+    samples, instances, cfg = smoke_samples()
+    assert len(samples) >= 3
+    pcfg = PerturbationConfig(
+        epsilon=0.05, n_samples=10, seed=5,
+        exact_auto_max=min(len(s.state.open) for s in samples) - 1,
+        inner_params=HgsParams(budget_iters=50, stall_iters=25, init_pool=6, seed=1),
+    )
+    tcfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.05, optimizer="adam", seed=6)
+    calls = []
+    loss_and_grad = train_module.perturbed_loss_and_grad
+
+    def spy(theta, sample, inner, pcfg, z=None):
+        out = loss_and_grad(theta, sample, inner, pcfg, z=z)
+        calls.append((inner, out))
+        return out
+
+    monkeypatch.setattr(train_module, "perturbed_loss_and_grad", spy)
+    r1 = train(samples, instances, cfg, set_kind="complete", model_kind="mlp",
+               pcfg=pcfg, tcfg=tcfg)
+    assert len(calls) == tcfg.epochs * len(samples)
+    for inner, out in calls:
+        assert isinstance(inner, HgsInner)
+        assert np.isfinite(out.loss)
+        assert np.all(np.abs(out.grad) <= 1.0)
+    assert all(np.isfinite(row["train_loss"]) for row in r1.log)
+    r2 = train(samples, instances, cfg, set_kind="complete", model_kind="mlp",
+               pcfg=pcfg, tcfg=tcfg)
+    assert r1.log == r2.log
+    assert model_to_json_dict(r1.model) == model_to_json_dict(r2.model)

@@ -1,4 +1,6 @@
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dynroute.pchgs import (
     preprocess,
     solve,
 )
+from dynroute.pchgs import solver
 from dynroute.pchgs.evaluate import EvalContext
 from dynroute.pchgs.solver import (
     PcHgs,
@@ -249,8 +252,16 @@ def test_solve_objective_audit_and_forced_sets():
 def test_solve_incumbent_trace_is_monotone():
     pc = random_pc(8, seed=44)
     engine = PcHgs(pc, small_params(seed=2))
+    trace = []
+    consider = engine._consider_incumbent
+
+    def record(ind):
+        consider(ind)
+        trace.append(engine.incumbent.objective if engine.incumbent else -math.inf)
+
+    engine._consider_incumbent = record
     engine.run()
-    trace = engine.trace
+    assert len(trace) > engine.iterations
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
@@ -610,15 +621,22 @@ def test_srex_never_serves_forced_out():
 # -------------------------------------------------------------- mutation
 
 
+def mutation(p_mut, alpha_rm, alpha_ins):
+    """The solver's mutation constants set to the given values (a context
+    manager; a function-scoped fixture would not work under hypothesis)."""
+    return mock.patch.multiple(solver, P_MUT=p_mut, ALPHA_RM=alpha_rm, ALPHA_INS=alpha_ins)
+
+
 def test_mutation_identity_when_factors_zero():
     pc = random_pc(8, seed=90)
-    params = HgsParams(budget_iters=10, seed=7, p_mut=1.0, alpha_rm=0.0, alpha_ins=0.0)
+    params = HgsParams(budget_iters=10, seed=7)
     engine = PcHgs(pc, params)
     ind = engine.make_individual(engine.split(list(engine.allowed)[:5]))
     before = set(ind.served)
-    for _ in range(50):
-        engine.mutate_random_remove_insert(ind)
-        assert set(ind.served) == before
+    with mutation(p_mut=1.0, alpha_rm=0.0, alpha_ins=0.0):
+        for _ in range(50):
+            engine.mutate_random_remove_insert(ind)
+            assert set(ind.served) == before
 
 
 def test_mutation_identity_when_all_forced_in():
@@ -626,30 +644,32 @@ def test_mutation_identity_when_all_forced_in():
 
     pc0 = random_pc(6, seed=91)
     pc = dataclasses.replace(pc0, forced_in=frozenset(range(6)))
-    params = HgsParams(budget_iters=10, seed=8, p_mut=1.0, alpha_rm=0.5, alpha_ins=0.0)
+    params = HgsParams(budget_iters=10, seed=8)
     engine = PcHgs(pc, params)
     ind = engine.make_individual(engine.split(list(range(6))))
-    for _ in range(50):
-        engine.mutate_random_remove_insert(ind)
-        assert set(ind.served) == set(range(6))
+    with mutation(p_mut=1.0, alpha_rm=0.5, alpha_ins=0.0):
+        for _ in range(50):
+            engine.mutate_random_remove_insert(ind)
+            assert set(ind.served) == set(range(6))
 
 
 def test_mutation_branch_frequencies_are_fair():
     import dataclasses
 
     pc = dataclasses.replace(random_pc(12, seed=92), prizes=(0.0,) * 12)
-    params = HgsParams(budget_iters=10, seed=9, p_mut=1.0, alpha_rm=0.5, alpha_ins=0.5)
+    params = HgsParams(budget_iters=10, seed=9)
     engine = PcHgs(pc, params)
     assert len(engine.allowed) >= 10 and not engine.forced_in
     base_routes = engine.split(list(engine.allowed)[:6])
     n, heads = 4000, 0
-    for _ in range(n):
-        ind = engine.make_individual(base_routes)
-        before = len(ind.served)
-        engine.mutate_random_remove_insert(ind)
-        after = len(ind.served)
-        assert after != before
-        heads += after < before
+    with mutation(p_mut=1.0, alpha_rm=0.5, alpha_ins=0.5):
+        for _ in range(n):
+            ind = engine.make_individual(base_routes)
+            before = len(ind.served)
+            engine.mutate_random_remove_insert(ind)
+            after = len(ind.served)
+            assert after != before
+            heads += after < before
     sigma = (n * 0.25) ** 0.5
     assert abs(heads - n / 2) <= 3 * sigma
 
@@ -728,69 +748,86 @@ def test_best_insertion_matches_unscreened_scan(mode, seed, scale, data):
 # ------------------------------------------------------------- population
 
 
+def population(mu, lam, elite, n_closest):
+    """The solver's population constants set to the given values (a context
+    manager; a function-scoped fixture would not work under hypothesis)."""
+    return mock.patch.multiple(solver, MU=mu, LAM=lam, ELITE=elite, N_CLOSEST=n_closest)
+
+
+def distance(a, b):
+    """Broken giant-tour pairs plus the served-set symmetric difference."""
+    def pairs(ind):
+        return {frozenset(p) for p in zip(ind.giant, ind.giant[1:])}
+
+    return len(pairs(a) ^ pairs(b)) + len(a.served ^ b.served)
+
+
 def test_population_never_exceeds_capacity_and_keeps_best():
     pc = random_pc(8, seed=100)
-    params = HgsParams(budget_iters=10, seed=13, mu=4, lam=6, elite=2, n_closest=2)
+    params = HgsParams(budget_iters=10, seed=13)
     engine = PcHgs(pc, params)
-    pop = Population(params)
-    best_obj = -np.inf
-    for k in range(40):
-        ind = engine._random_individual()
-        if ind.feasible:
-            best_obj = max(best_obj, ind.prize_sum - ind.cost)
-        pop.update(ind, engine.cap_pen, engine.tw_pen)
-        assert len(pop.feasible) <= params.mu + params.lam
-        assert len(pop.infeasible) <= params.mu + params.lam
-        if pop.feasible:
-            current_best = max(i.prize_sum - i.cost for i in pop.feasible)
-            assert current_best >= best_obj - 1e-9
+    with population(mu=4, lam=6, elite=2, n_closest=2):
+        pop = Population()
+        best_obj = -np.inf
+        for k in range(40):
+            ind = engine._random_individual()
+            if ind.feasible:
+                best_obj = max(best_obj, ind.prize_sum - ind.cost)
+            pop.update(ind, engine.cap_pen, engine.tw_pen)
+            assert len(pop.feasible) <= solver.MU + solver.LAM
+            assert len(pop.infeasible) <= solver.MU + solver.LAM
+            if pop.feasible:
+                current_best = max(i.prize_sum - i.cost for i in pop.feasible)
+                assert current_best >= best_obj - 1e-9
 
 
 def test_population_removes_clone_first():
     pc = pc_from_static(square_instance(), prizes=[200.0, 200.0, 200.0, 0.0])
-    params = HgsParams(budget_iters=10, seed=14, mu=2, lam=3, elite=1, n_closest=2)
+    params = HgsParams(budget_iters=10, seed=14)
     engine = PcHgs(pc, params)
-    pop = Population(params)
-    plans = [[[0]], [[1]], [[2]], [[0, 1]], [[1, 2]]]
-    members = [engine.make_individual(p) for p in plans]
-    assert all(m.feasible for m in members)
-    for m in members:
-        pop.update(m, engine.cap_pen, engine.tw_pen)
-    assert len(pop.feasible) == params.mu + params.lam
-    clone = engine.make_individual(plans[2])
-    pop.update(clone, engine.cap_pen, engine.tw_pen)  # overflow -> survivor selection
-    assert len(pop.feasible) == params.mu
+    with population(mu=2, lam=3, elite=1, n_closest=2):
+        pop = Population()
+        plans = [[[0]], [[1]], [[2]], [[0, 1]], [[1, 2]]]
+        members = [engine.make_individual(p) for p in plans]
+        assert all(m.feasible for m in members)
+        for m in members:
+            pop.update(m, engine.cap_pen, engine.tw_pen)
+        assert len(pop.feasible) == solver.MU + solver.LAM
+        clone = engine.make_individual(plans[2])
+        pop.update(clone, engine.cap_pen, engine.tw_pen)  # overflow -> survivor selection
+        assert len(pop.feasible) == solver.MU
     pairs = [
         (a, b)
         for i, a in enumerate(pop.feasible)
         for b in pop.feasible[i + 1 :]
-        if pop.distance(a, b) == 0
+        if distance(a, b) == 0
     ]
     assert not pairs
 
 
-def reference_fitness(params, sub, cap_pen, tw_pen):
-    """Biased fitness from a distance matrix built from scratch."""
+def reference_fitness(sub, cap_pen, tw_pen):
+    """Biased fitness from a distance matrix built from scratch, under the
+    solver's current population constants."""
     k = len(sub)
     if k == 0:
         return [], [], []
-    d = [[0 if a is b else Population.distance(a, b) for b in sub] for a in sub]
+    d = [[0 if a is b else distance(a, b) for b in sub] for a in sub]
     objs = [ind.penalized_objective(cap_pen, tw_pen) for ind in sub]
-    div = [-sum(sorted(d[i][j] for j in range(k) if j != i)[: params.n_closest])
+    div = [-sum(sorted(d[i][j] for j in range(k) if j != i)[: solver.N_CLOSEST])
            for i in range(k)]
     by_obj = sorted(range(k), key=lambda i: -objs[i])
     by_div = sorted(range(k), key=lambda i: div[i])
-    w = 1.0 - params.elite / k
+    w = 1.0 - solver.ELITE / k
     return [by_obj.index(i) + w * by_div.index(i) for i in range(k)], by_obj, d
 
 
-def reference_update(params, sub, ind, cap_pen, tw_pen):
+def reference_update(sub, ind, cap_pen, tw_pen):
     sub.append(ind)
-    if len(sub) <= params.mu + params.lam:
+    if len(sub) <= solver.MU + solver.LAM:
         return
-    while len(sub) > params.mu:
-        fitness, by_obj, d = reference_fitness(params, sub, cap_pen, tw_pen)
-        protected = set(by_obj[: max(1, params.elite)])
+    while len(sub) > solver.MU:
+        fitness, by_obj, d = reference_fitness(sub, cap_pen, tw_pen)
+        protected = set(by_obj[: max(1, solver.ELITE)])
         clone = [any(d[i][j] == 0 for j in range(len(sub)) if j != i) for i in range(len(sub))]
         victims = sorted(
             (i for i in range(len(sub)) if i not in protected or clone[i]),
@@ -808,10 +845,15 @@ def reference_update(params, sub, ind, cap_pen, tw_pen):
 )
 def test_population_matches_from_scratch_reference(mode, seed, script, tseed):
     pc = random_pc(12, seed=760 + seed) if mode == "prize" else mandatory_release_pc(12, 770 + seed)
-    params = HgsParams(budget_iters=1, seed=seed, mu=4, lam=3, elite=2, n_closest=3)
+    params = HgsParams(budget_iters=1, seed=seed)
     engine = PcHgs(pc, params)
+    with population(mu=4, lam=3, elite=2, n_closest=3):
+        check_population_against_reference(engine, script, tseed)
+
+
+def check_population_against_reference(engine, script, tseed):
     base_pens = (engine.cap_pen, engine.tw_pen)
-    pop = Population(params)
+    pop = Population()
     ref = {True: [], False: []}
     made = []
     for k, step in enumerate(script):
@@ -827,14 +869,14 @@ def test_population_matches_from_scratch_reference(mode, seed, script, tseed):
         made.append(ind)
         cap_pen, tw_pen = base_pens[0] * (1 + k % 3), base_pens[1]
         pop.update(ind, cap_pen, tw_pen)
-        reference_update(params, ref[ind.feasible], ind, cap_pen, tw_pen)
+        reference_update(ref[ind.feasible], ind, cap_pen, tw_pen)
         for sub, key in ((pop.feasible, True), (pop.infeasible, False)):
             assert [id(m) for m in sub] == [id(m) for m in ref[key]]
-            fitness, by_obj, d = reference_fitness(params, ref[key], cap_pen, tw_pen)
+            fitness, by_obj, d = reference_fitness(ref[key], cap_pen, tw_pen)
             assert pop._ranked(sub, cap_pen, tw_pen) == (fitness, by_obj)
             assert sub.dists == d
         fits = [f for key in (True, False)
-                for f in reference_fitness(params, ref[key], cap_pen, tw_pen)[0]]
+                for f in reference_fitness(ref[key], cap_pen, tw_pen)[0]]
         pool = ref[True] + ref[False]
         rng, ref_rng = np.random.default_rng(tseed), np.random.default_rng(tseed)
         for _ in range(3):
