@@ -123,8 +123,6 @@ def cmd_build_dataset(args) -> int:
     params = _hgs_params(_override_budget(config, args), seed=seed)
     instances = [load_instance(p) for p in config["instances"]]
     cfg = _dynamic_config(config["dynamic"])
-    for inst in instances:
-        cfg.validate(inst)
     count = build_dataset(
         instances, cfg, int(config.get("n_scenarios", 3)), params, seed, out
     )

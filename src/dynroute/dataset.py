@@ -100,7 +100,9 @@ def sample_from_json_dict(data: dict, cfg: DynamicConfig) -> TrainingSample:
 def sample_scenario(
     inst: StaticInstance, cfg: DynamicConfig
 ) -> tuple[ReleasedRequest, ...]:
-    """All requests of one dynamic realization, each with its release time."""
+    """All requests of one dynamic realization, each with its release time.
+    Raises ValueError when the config does not fit the instance."""
+    cfg.validate(inst)
     out: list[ReleasedRequest] = []
     for epoch in range(cfg.n_epochs):
         t_e = cfg.epoch_start(epoch)
@@ -220,8 +222,11 @@ def build_dataset(
     """Write one JSON line per TrainingSample; returns the number of samples.
 
     Scenario seeds are seed, seed+1, ... per instance; the solver seed is
-    derived from the scenario seed so reruns are bit-identical.
+    derived from the scenario seed so reruns are bit-identical. The config
+    is checked against every instance before the file is opened.
     """
+    for inst in instances:
+        cfg_base.validate(inst)
     count = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for inst in instances:

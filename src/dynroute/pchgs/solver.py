@@ -2,9 +2,10 @@
 
 Population-based search with SREX crossover, a local-search improvement stage
 (classic time-window move set plus request insert/remove neighborhoods), two
-request-set mutation operators, diversity-aware survivor selection, and
-penalty adaptation for infeasible intermediates. Forced-in requests are always
-served, forced-out requests never are.
+request-set mutation operators, and diversity-aware survivor selection.
+Infeasible intermediates pay capacity and time-window penalties that stay
+fixed for the whole solve, apart from the repair pass's 10x re-search.
+Forced-in requests are always served, forced-out requests never are.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import time as _time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +38,7 @@ ALPHA_RM, ALPHA_INS = 0.1, 0.1  # shares of served/unserved requests that mutati
 GRANULARITY = 20  # granular neighbors kept per request
 P_OPT = 0.25  # chance of a perturbed request-set pass on each child
 DELTA_LO, DELTA_HI = 0.8, 1.2  # range of that pass's saving/detour factors
-TW_PENALTY = 3.0  # start of the time-window penalty
-PENALTY_UP, PENALTY_DOWN = 1.2, 0.85  # penalty factors when too few/many LS outputs are feasible
-PENALTY_LO, PENALTY_HI = 0.1, 1e5  # clamp of adapted penalties
-ADAPT_PERIOD = 100  # iterations between adaptations; also the feasibility window
+TW_PENALTY = 3.0  # the time-window penalty
 
 
 def preprocess(inst: PcInstance) -> tuple[frozenset[int], frozenset[int]]:
@@ -411,9 +408,6 @@ class PcHgs:
         self.pop = Population()
         self.incumbent: _Incumbent | None = None
         self.iterations = 0
-        # Feasibility of the last ADAPT_PERIOD local-search outputs.
-        self._ls_cap_feas: deque[bool] = deque(maxlen=ADAPT_PERIOD)
-        self._ls_tw_feas: deque[bool] = deque(maxlen=ADAPT_PERIOD)
         # Route certificates (see local_search): interned route tuples, and per
         # (cap_pen, tw_pen) the ordered pairs of route ids known to be a fixed
         # point of the pair moves, RELOCATE* and SWAP*.
@@ -607,8 +601,6 @@ class PcHgs:
         ids = [self._route_ids.setdefault(tuple(r), len(self._route_ids)) for r in work.routes]
         certs.update((a, b) for a in ids for b in ids)
         self._refresh(ind, work)
-        self._ls_cap_feas.append(ind.cap_excess == 0)
-        self._ls_tw_feas.append(ind.tw_warp == 0)
 
     def _improve(self, ind: Individual) -> None:
         """Local search plus a repair pass: infeasible outputs are re-searched
@@ -669,14 +661,11 @@ class PcHgs:
             improved = True
         return improved
 
-    def _try_candidate(self, work: _Work, changes: dict[int, list[int]], new_routes=()) -> bool:
-        """Evaluate one move; commit and report True when it strictly improves."""
+    def _try_candidate(self, work: _Work, changes: dict[int, list[int]], bound: float) -> bool:
+        """Commit one move when its new routes (an empty one is deleted) walk
+        to a penalized cost below ``bound``, the old routes' cost minus _EPS."""
         cap_pen, tw_pen = self.cap_pen, self.tw_pen
         ctx = self.ctx
-        old = 0.0
-        for ri in changes:
-            old += work.route_pen(ri, cap_pen, tw_pen)
-        bound = old - _EPS
         total = 0.0
         for visits in changes.values():
             if not visits:
@@ -685,12 +674,7 @@ class PcHgs:
             if pen is None:
                 return False
             total += pen
-        for visits in new_routes:
-            pen = ctx.penalized_bounded(visits, cap_pen, tw_pen, bound - total)
-            if pen is None:
-                return False
-            total += pen
-        work.commit(changes, new_routes)
+        work.commit(changes)
         return True
 
     def _try_pair_moves(self, work: _Work, u: int, v: int) -> bool:
@@ -718,7 +702,7 @@ class PcHgs:
         for plan in _same_route_plans(len(route), pu, pv):
             if _plan_cost(t, route, arc_pref, rev_pref, plan) + cap_term >= bound:
                 continue
-            if self._try_candidate(work, {ru: _apply_plan(route, plan)}):
+            if self._try_candidate(work, {ru: _apply_plan(route, plan)}, bound):
                 return True
         return False
 
@@ -765,20 +749,6 @@ class PcHgs:
                 lb += cap_pen * (new_load_v - cap)
             return lb < bound
 
-        def walk_commit(new_u: list[int], new_v: list[int]) -> bool:
-            total = 0.0
-            if new_u:
-                pen = ctx.penalized_bounded(new_u, cap_pen, tw_pen, bound)
-                if pen is None:
-                    return False
-                total = pen
-            if new_v:
-                pen = ctx.penalized_bounded(new_v, cap_pen, tw_pen, bound - total)
-                if pen is None:
-                    return False
-            work.commit({ru: new_u, rv: new_v})
-            return True
-
         # relocate u after / before v
         rm_u = t[a_u][um] + t[um][b_u] - t[a_u][b_u]
         for before in (False, True):
@@ -786,10 +756,10 @@ class PcHgs:
             ins = t[c][um] + t[um][d] - t[c][d]
             if screen(cost_u - rm_u, cost_v + ins, load_u - dem[u], load_v + dem[u]):
                 at = pv + (0 if before else 1)
-                if walk_commit(
-                    route_u[:pu] + route_u[pu + 1 :],
-                    route_v[:at] + [u] + route_v[at:],
-                ):
+                if self._try_candidate(work, {
+                    ru: route_u[:pu] + route_u[pu + 1 :],
+                    rv: route_v[:at] + [u] + route_v[at:],
+                }, bound):
                     return True
 
         # relocate the pair (u, succ_u) after v, forward and reversed
@@ -803,7 +773,8 @@ class PcHgs:
                 x, y = block[0] + 1, block[1] + 1
                 ins = t[vm][x] + t[x][y] + t[y][b_v] - t[vm][b_v]
                 if screen(cost_u - rm_pair, cost_v + ins, load_u - pair_load, load_v + pair_load):
-                    if walk_commit(src, route_v[: pv + 1] + list(block) + route_v[pv + 1 :]):
+                    new_v = route_v[: pv + 1] + list(block) + route_v[pv + 1 :]
+                    if self._try_candidate(work, {ru: src, rv: new_v}, bound):
                         return True
 
         # swap u <-> v
@@ -813,10 +784,10 @@ class PcHgs:
             cost_u + du, cost_v + dv,
             load_u - dem[u] + dem[v], load_v - dem[v] + dem[u],
         ):
-            if walk_commit(
-                route_u[:pu] + [v] + route_u[pu + 1 :],
-                route_v[:pv] + [u] + route_v[pv + 1 :],
-            ):
+            if self._try_candidate(work, {
+                ru: route_u[:pu] + [v] + route_u[pu + 1 :],
+                rv: route_v[:pv] + [u] + route_v[pv + 1 :],
+            }, bound):
                 return True
 
         # swap pair (u, succ_u) <-> v and <-> pair (v, succ_v)
@@ -832,10 +803,10 @@ class PcHgs:
                 cost_u + du_pair, cost_v + dv_single,
                 load_u - pair_load_u + dem[v], load_v - dem[v] + pair_load_u,
             ):
-                if walk_commit(
-                    route_u[:pu] + [v] + route_u[pu + 2 :],
-                    route_v[:pv] + [u, succ_u] + route_v[pv + 1 :],
-                ):
+                if self._try_candidate(work, {
+                    ru: route_u[:pu] + [v] + route_u[pu + 2 :],
+                    rv: route_v[:pv] + [u, succ_u] + route_v[pv + 1 :],
+                }, bound):
                     return True
             if succ_v is not None:
                 svm = succ_v + 1
@@ -852,10 +823,10 @@ class PcHgs:
                     load_u - pair_load_u + pair_load_v,
                     load_v - pair_load_v + pair_load_u,
                 ):
-                    if walk_commit(
-                        route_u[:pu] + [v, succ_v] + route_u[pu + 2 :],
-                        route_v[:pv] + [u, succ_u] + route_v[pv + 2 :],
-                    ):
+                    if self._try_candidate(work, {
+                        ru: route_u[:pu] + [v, succ_v] + route_u[pu + 2 :],
+                        rv: route_v[:pv] + [u, succ_u] + route_v[pv + 2 :],
+                    }, bound):
                         return True
 
         # 2-opt*: exchange tails after u and after v
@@ -881,10 +852,10 @@ class PcHgs:
             new_cost_u, new_cost_v,
             lp_u[pu] + tail_load_v, lp_v[pv] + tail_load_u,
         ):
-            if walk_commit(
-                route_u[: pu + 1] + route_v[pv + 1 :],
-                route_v[: pv + 1] + route_u[pu + 1 :],
-            ):
+            if self._try_candidate(work, {
+                ru: route_u[: pu + 1] + route_v[pv + 1 :],
+                rv: route_v[: pv + 1] + route_u[pu + 1 :],
+            }, bound):
                 return True
         return False
 
@@ -1018,18 +989,12 @@ class PcHgs:
                     continue
                 cand_u = route_u[:pu] + route_u[pu + 1 :]
                 cand_u.insert(gap_u, v)
-                pen_u = ctx.penalized_bounded(cand_u, cap_pen, tw_pen, old - _EPS)
-                if pen_u is None:
-                    continue
                 cand_v = route_v[:pv] + route_v[pv + 1 :]
                 cand_v.insert(gap_v, u)
-                pen_v = ctx.penalized_bounded(cand_v, cap_pen, tw_pen, old - pen_u - _EPS)
-                if pen_v is None:
-                    continue
-                work.commit({ru: cand_u, rv: cand_v})
-                improved = True
-                clean = False
-                break
+                if self._try_candidate(work, {ru: cand_u, rv: cand_v}, old - _EPS):
+                    improved = True
+                    clean = False
+                    break
             if clean:
                 seen[u] = work.counter
         return improved
@@ -1204,24 +1169,6 @@ class PcHgs:
                 if cand2.better_than(self.incumbent):
                     self.incumbent = cand2
 
-    def _adapt_penalties(self) -> None:
-        cap_window = self._ls_cap_feas
-        tw_window = self._ls_tw_feas
-        if not cap_window:
-            return
-        frac_cap = sum(cap_window) / len(cap_window)
-        frac_tw = sum(tw_window) / len(tw_window)
-        if frac_cap < 0.2:
-            self.cap_pen *= PENALTY_UP
-        elif frac_cap > 0.6:
-            self.cap_pen *= PENALTY_DOWN
-        if frac_tw < 0.2:
-            self.tw_pen *= PENALTY_UP
-        elif frac_tw > 0.6:
-            self.tw_pen *= PENALTY_DOWN
-        self.cap_pen = min(max(self.cap_pen, PENALTY_LO), PENALTY_HI)
-        self.tw_pen = min(max(self.tw_pen, PENALTY_LO), PENALTY_HI)
-
     def _insert_new(self, ind: Individual) -> None:
         self._consider_incumbent(ind)
         self.pop.update(ind, self.cap_pen, self.tw_pen)
@@ -1300,8 +1247,6 @@ class PcHgs:
                 stall = 0
             else:
                 stall += 1
-            if self.iterations % ADAPT_PERIOD == 0:
-                self._adapt_penalties()
         if self.incumbent is None:
             raise PcInfeasibleError("no feasible solution found within budget")
         served = frozenset(v for r in self.incumbent.routes for v in r)

@@ -102,7 +102,7 @@ class HgsParams:
     the seed.
 
     Everything else about the search (population sizes, elite, closest
-    neighbours, mutation rates, granularity, penalties and their adaptation,
+    neighbours, mutation rates, granularity, the time-window penalty,
     request-set perturbation range) is a fixed constant in ``solver``.
     """
 

@@ -149,6 +149,19 @@ def test_build_dataset_counts_and_round_trip(tmp_path):
         )
 
 
+def test_library_calls_reject_epochs_past_the_horizon(tmp_path):
+    inst = load_instance("tests/fixtures/bench_a.json")
+    cfg = DynamicConfig(n_epochs=9, sample_size=5, instance_seed=0)
+    assert cfg.n_epochs * cfg.epoch_duration > inst.horizon  # 9 x 3,600 s > 28,800 s
+    out = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match="exceeds horizon 28800"):
+        build_dataset([inst], cfg, n_scenarios=1, params=params(), seed=0, out_path=str(out))
+    assert not out.exists()
+    for call in (build_scenario_samples, anticipative_baseline_cost):
+        with pytest.raises(ValueError, match="exceeds horizon 28800"):
+            call(inst, cfg, params())
+
+
 def _route_cost(inst, state, route):
     by_id = state.by_id()
     prev = 0

@@ -376,6 +376,18 @@ def test_penalized_bounded_is_penalized_below_bound(mode, seed, cap_pen, tw_pen,
         assert got is None
 
 
+def test_penalties_stay_fixed_through_a_solve():
+    """The capacity and time-window penalties end a solve at their start
+    values: only the repair pass raises them, for one local search."""
+    pc = mandatory_release_pc(15, seed=3)
+    engine = PcHgs(pc, HgsParams(budget_iters=200, stall_iters=None, seed=0))
+    start = (engine.cap_pen, engine.tw_pen)
+    assert engine.tw_pen == solver.TW_PENALTY
+    engine.run()
+    assert engine.iterations == 200
+    assert (engine.cap_pen, engine.tw_pen) == start
+
+
 # ----------------------------------------------------------- local search
 
 
