@@ -17,7 +17,7 @@ import numpy as np
 
 from ..encode import pc_for_state
 from ..instance import StaticInstance
-from ..pchgs import ExactSolver, HgsParams, PcInstance, solve
+from ..pchgs import ExactSolver, HgsParams, PcInfeasibleError, PcInstance, solve
 from ..simulator import DynamicConfig
 from ..dataset import TrainingSample
 
@@ -50,6 +50,16 @@ class ExactInner:
         value, mask = self._solver.argmax(theta)
         return value, self._solver.served_vector(mask)
 
+    def solve_many(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective values and served indicators (one row per draw) of the
+        argmaxes of every row of ``thetas``, in one batched scan."""
+        values, masks = self._solver.argmax_many(thetas)
+        if (masks < 0).any():
+            s = int(np.argmax(masks < 0))
+            exc = PcInfeasibleError("no served set consistent with the forced sets is feasible")
+            raise RuntimeError(f"inner solver failed on perturbation draw {s}: {exc}") from exc
+        return values, self._solver.served_vector(masks)
+
 
 class HgsInner:
     """Metaheuristic argmax; warm-starts from its last four solutions."""
@@ -67,6 +77,17 @@ class HgsInner:
         for r in sol.served:
             g[r] = 1.0
         return sol.objective, g
+
+    def solve_many(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``solve`` on each row of ``thetas``, in order, as the pool expects."""
+        values = np.empty(len(thetas))
+        served = np.empty((len(thetas), self.pc.n_requests))
+        for s, theta in enumerate(thetas):
+            try:
+                values[s], served[s] = self.solve(theta)
+            except Exception as exc:
+                raise RuntimeError(f"inner solver failed on perturbation draw {s}: {exc}") from exc
+        return values, served
 
 
 def inner_for_sample(
@@ -130,16 +151,11 @@ def perturbed_loss_and_grad(
             raise ValueError("z draws do not match theta dimension")
     g_bar = target_vector(sample)
     h_bar = sample.target_h
-    terms = np.empty(z.shape[0])
-    g_sum = np.zeros(dim)
-    for s in range(z.shape[0]):
-        perturbed = theta + pcfg.epsilon * z[s]
-        try:
-            value, g_hat = inner.solve(perturbed)
-        except Exception as exc:
-            raise RuntimeError(f"inner solver failed on perturbation draw {s}: {exc}") from exc
-        terms[s] = value - (float(np.dot(perturbed, g_bar)) + h_bar)
-        g_sum += g_hat
+    perturbed = theta + pcfg.epsilon * z
+    values, served = inner.solve_many(perturbed)
+    terms = np.array([v - (float(np.dot(p, g_bar)) + h_bar) for v, p in zip(values, perturbed)])
+    # served indicators are 0/1, so their sum is exact in any order
+    g_sum = served.sum(axis=0)
     loss = float(terms.mean())
     grad = g_sum / z.shape[0] - g_bar
     stderr = float(terms.std(ddof=1) / np.sqrt(len(terms))) if len(terms) > 1 else 0.0

@@ -1,10 +1,13 @@
 """Exact prize-collecting solver for small instances.
 
-Enumerates, once per instance, the cheapest feasible single route for every
-request subset (ordering enumeration with time-window pruning), then a
-set-partition DP over subsets. After that, the optimum for any prize vector
-is a scan over served sets, which makes repeated argmax calls with different
-prizes (as in perturbed-loss oracles) cheap.
+Built once per instance: the cheapest feasible route for every request
+subset, from one depth-first walk over the capacity- and window-feasible
+visit sequences in lexicographic order (one walk per distinct departure
+under release times) that keeps each subset's first strictly cheapest
+ordering; then a set-partition DP that splits off the route holding a
+subset's lowest request. The optimum for a prize vector is then a scan over
+served sets; ``argmax_many`` takes a batch of them (the perturbed-loss
+draws) in one numpy pass.
 """
 
 from __future__ import annotations
@@ -31,59 +34,67 @@ class ExactSolver:
         self.forced_out_mask = sum(1 << r for r in inst.forced_out)
         self._build_route_table()
         self._build_partition_table()
+        fi, fo = self.forced_in_mask, self.forced_out_mask
+        valid = [m for m, c in enumerate(self.part_cost) if m & fi == fi and not m & fo and c < _INF]
+        # kept for every training state, so stored compactly
+        self._valid = np.array(valid, dtype=np.int32)
+        self._valid_cost = np.array([self.part_cost[m] for m in valid])
+        self._valid_size = np.array([bin(m).count("1") for m in valid], dtype=np.int8)
+        # argmax_many builds prize sums in bit-reversed mask order
+        self._valid_rev = np.array([int(f"{m:0{n}b}"[::-1], 2) for m in valid], dtype=np.int32)
 
     def _build_route_table(self) -> None:
+        """Cheapest route per subset. Travel times and demands are non-negative,
+        so a prefix over capacity or past a window has no extension to record."""
         n = self.n
         ctx = self.ctx
-        t = ctx.t
-        demand = ctx.demand
-        cap = ctx.capacity
-        route_cost: list[float] = [_INF] * (1 << n)
-        route_order: list[tuple[int, ...] | None] = [None] * (1 << n)
-        route_cost[0] = 0.0
-        route_order[0] = ()
+        t, demand, cap, open_, close, service, horizon = (
+            ctx.t, ctx.demand, ctx.capacity, ctx.open, ctx.close, ctx.service, ctx.horizon)
+        route_cost: list[float] = [0.0] + [_INF] * ((1 << n) - 1)
+        route_order: list[tuple[int, ...] | None] = [()] + [None] * ((1 << n) - 1)
+        starts = [ctx.route_departure([r]) for r in range(n)]
+        order: list[int] = []
 
-        for mask in range(1, 1 << n):
-            members = [r for r in range(n) if mask >> r & 1]
-            if sum(demand[r] for r in members) > cap:
-                continue
-            dep = ctx.route_departure(members)
-            best = _INF
-            best_order: tuple[int, ...] | None = None
-            open_ = ctx.open
-            close = ctx.close
-            service = ctx.service
-            horizon = ctx.horizon
+        def walk(members, fresh, prev, time, cost, load, mask):
+            for r in members:
+                bit = 1 << r
+                if mask & bit:
+                    continue
+                ld = load + demand[r]
+                if ld > cap:
+                    continue
+                m = r + 1
+                arc = t[prev][m]
+                begin = time + arc
+                if begin < open_[r]:
+                    begin = open_[r]
+                if begin > close[r]:
+                    continue
+                c = cost + arc
+                done = begin + service[r]
+                sub = mask | bit
+                order.append(r)
+                if sub & fresh:
+                    back = c + t[m][0]
+                    if back < route_cost[sub] and done + t[m][0] <= horizon:
+                        route_cost[sub] = back
+                        route_order[sub] = tuple(order)
+                walk(members, fresh, m, done, c, ld, sub)
+                order.pop()
 
-            def extend(order: list[int], rem: list[int], prev: int, time: int, cost: int):
-                nonlocal best, best_order
-                if not rem:
-                    back = cost + t[prev][0]
-                    if time + t[prev][0] <= horizon and back < best:
-                        best = back
-                        best_order = tuple(order)
-                    return
-                for i, r in enumerate(rem):
-                    m = r + 1
-                    arc = t[prev][m]
-                    arrive = time + arc
-                    begin = arrive if arrive > open_[r] else open_[r]
-                    if begin > close[r]:
-                        continue
-                    if cost + arc >= best:
-                        continue
-                    order.append(r)
-                    extend(order, rem[:i] + rem[i + 1 :], m, begin + service[r], cost + arc)
-                    order.pop()
-
-            extend([], members, 0, dep, 0)
-            if best_order is not None:
-                route_cost[mask] = best
-                route_order[mask] = best_order
+        # a subset leaves at its latest start: walk each departure over the
+        # requests released by then, recording subsets holding one released at it
+        for dep in sorted(set(starts)):
+            members = [r for r in range(n) if starts[r] <= dep]
+            fresh = sum(1 << r for r in members if starts[r] == dep)
+            walk(members, fresh, 0, dep, 0, 0, 0)
         self.route_cost = route_cost
         self.route_order = route_order
 
     def _build_partition_table(self) -> None:
+        """Best split of each subset into routes: the one holding the lowest
+        request runs over its submasks in descending order; the first strict
+        improvement wins."""
         n = self.n
         size = 1 << n
         part_cost: list[float] = [_INF] * size
@@ -92,18 +103,20 @@ class ExactSolver:
         route_cost = self.route_cost
         for mask in range(1, size):
             low = mask & -mask
+            rest = mask ^ low
             best = _INF
             best_sub = 0
-            sub = mask
-            while sub:
-                if sub & low:
-                    rc = route_cost[sub]
-                    if rc < _INF:
-                        rest = part_cost[mask ^ sub]
-                        if rc + rest < best:
-                            best = rc + rest
-                            best_sub = sub
-                sub = (sub - 1) & mask
+            s = rest
+            while True:
+                rc = route_cost[s | low]
+                if rc < _INF:
+                    total = rc + part_cost[rest ^ s]
+                    if total < best:
+                        best = total
+                        best_sub = s | low
+                if not s:
+                    break
+                s = (s - 1) & rest
             part_cost[mask] = best
             part_choice[mask] = best_sub
         self.part_cost = part_cost
@@ -119,40 +132,63 @@ class ExactSolver:
             mask ^= sub
         return tuple(sorted(routes))
 
-    def argmax(self, prizes) -> tuple[float, int]:
-        """Best objective value and its served-set bitmask for a prize vector."""
-        n = self.n
-        size = 1 << n
-        theta = [float(p) for p in prizes]
-        prize_sum = [0.0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            prize_sum[mask] = prize_sum[mask ^ low] + theta[low.bit_length() - 1]
-        fi = self.forced_in_mask
-        fo = self.forced_out_mask
-        part_cost = self.part_cost
-        best_val = -_INF
-        best_mask = -1
-        for mask in range(size):
-            if mask & fi != fi or mask & fo:
-                continue
-            pc = part_cost[mask]
-            if pc == _INF:
-                continue
-            val = prize_sum[mask] - pc
+    def argmax_many(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Best objective value and served-set bitmask for each row of
+        ``thetas``; a row with no feasible served set gets mask -1.
+
+        Prize sums accumulate from the highest request down, the order of the
+        scalar recurrence ``sum[mask] = sum[mask ^ low] + theta[low]``, so
+        every value is bitwise the scalar one. They are doubled in
+        bit-reversed mask order, where each next lower request is the new top
+        bit. A row keeps numpy's argmax when it is finite and its top value
+        is alone beyond 1e-9 * max(1, |top|); any other row takes ``_scan``,
+        whose tie rule decides.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        rows = len(thetas)
+        if not len(self._valid):
+            return np.full(rows, -_INF), np.full(rows, -1)
+        with np.errstate(all="ignore"):
+            sums = np.zeros((rows, 1 << self.n))
+            for k, r in enumerate(range(self.n - 1, -1, -1)):
+                sums[:, 1 << k : 2 << k] = sums[:, : 1 << k] + thetas[:, r : r + 1]
+            vals = sums[:, self._valid_rev] - self._valid_cost
+            best = vals.argmax(axis=1)
+            values = vals[np.arange(rows), best]
+            floor = values - 1e-9 * np.maximum(1.0, np.abs(values))
+            alone = ((vals >= floor[:, None]).sum(axis=1) == 1) & np.isfinite(vals).all(axis=1)
+        for s in np.flatnonzero(~alone):
+            values[s], best[s] = self._scan(vals[s])
+        masks = np.where(best >= 0, self._valid[best], -1)
+        return values, masks
+
+    def _scan(self, vals: np.ndarray) -> tuple[float, int]:
+        """(value, index into the valid masks) by the order-dependent tie
+        rule: a value within 1e-12 of the best replaces it when it serves
+        fewer requests, else the earlier mask stays. Index -1 when no value
+        compares above -inf."""
+        size = self._valid_size.tolist()
+        best_val, best = -_INF, -1
+        for i, val in enumerate(vals.tolist()):
             if val > best_val + 1e-12:
                 best_val = val
-                best_mask = mask
-            elif val > best_val - 1e-12 and best_mask >= 0:
-                if bin(mask).count("1") < bin(best_mask).count("1"):
+                best = i
+            elif val > best_val - 1e-12 and best >= 0:
+                if size[i] < size[best]:
                     best_val = max(best_val, val)
-                    best_mask = mask
-        if best_mask < 0:
-            raise PcInfeasibleError("no served set consistent with the forced sets is feasible")
-        return best_val, best_mask
+                    best = i
+        return best_val, best
 
-    def served_vector(self, mask: int) -> np.ndarray:
-        return np.array([(mask >> r) & 1 for r in range(self.n)], dtype=float)
+    def argmax(self, prizes) -> tuple[float, int]:
+        """Best objective value and its served-set bitmask for a prize vector."""
+        values, masks = self.argmax_many([prizes])
+        if masks[0] < 0:
+            raise PcInfeasibleError("no served set consistent with the forced sets is feasible")
+        return float(values[0]), int(masks[0])
+
+    def served_vector(self, mask) -> np.ndarray:
+        """Served indicator of a mask, or one row per mask of an array."""
+        return ((np.asarray(mask)[..., None] >> np.arange(self.n)) & 1).astype(float)
 
     def solve(self) -> PcSolution:
         value, mask = self.argmax(self.inst.prizes)

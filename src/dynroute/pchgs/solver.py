@@ -641,15 +641,23 @@ class PcHgs:
             fresh_u = version[ru] > last
             cu = self._rid(work, ru) if certs else -1
             clean = True
+            prep = None
             for v in self._neighbors[u]:
                 pv = pos.get(v)
                 if pv is None:
                     continue
-                if not fresh_u and version[pv[0]] <= last:
+                rv = pv[0]
+                if not fresh_u and version[rv] <= last:
                     continue
-                if cu >= 0 and (cu, self._rid(work, pv[0])) in certs:
+                if cu >= 0 and (cu, self._rid(work, rv)) in certs:
                     continue
-                if self._try_pair_moves(work, u, v):
+                if rv == ru:
+                    moved = self._try_same_route_moves(work, u, v)
+                else:
+                    if prep is None:
+                        prep = self._cross_prep(work, u)
+                    moved = self._cross_moves(work, prep, rv, pv[1])
+                if moved:
                     improved = True
                     clean = False
                     break
@@ -680,7 +688,7 @@ class PcHgs:
     def _try_pair_moves(self, work: _Work, u: int, v: int) -> bool:
         if work.pos[u][0] == work.pos[v][0]:
             return self._try_same_route_moves(work, u, v)
-        return self._try_cross_route_moves(work, u, v)
+        return self._cross_moves(work, self._cross_prep(work, u), *work.pos[v])
 
     def _try_same_route_moves(self, work: _Work, u: int, v: int) -> bool:
         """Relocations, block swaps and 2-opt of (u, v) within one route.
@@ -706,25 +714,52 @@ class PcHgs:
                 return True
         return False
 
-    def _try_cross_route_moves(self, work: _Work, u: int, v: int) -> bool:
-        """Cross-route moves: O(1) cost/load screening, then a bounded walk.
+    def _cross_prep(self, work: _Work, u: int) -> tuple:
+        """The terms of u's cross-route moves that no neighbour changes: removal
+        deltas, u's route without u (and without u and its successor), 2-opt*
+        head and tail. A commit ends the neighbour loop, so none goes stale."""
+        t = self.ctx.t
+        dem = self.ctx.demand
+        ru, pu = work.pos[u]
+        route_u = work.routes[ru]
+        cost_u = work.stats[ru][0]
+        load_u = work.loads[ru]
+        um = u + 1
+        a_u = route_u[pu - 1] + 1 if pu > 0 else 0
+        b_u = route_u[pu + 1] + 1 if pu + 1 < len(route_u) else 0
+        around_u = t[a_u][um] + t[um][b_u]
+        pair = None
+        if b_u:
+            succ_u = route_u[pu + 1]
+            b2_u = route_u[pu + 2] + 1 if pu + 2 < len(route_u) else 0
+            around_pair = t[a_u][um] + t[um][b_u] + t[b_u][b2_u]
+            pair = (succ_u, b_u, b2_u, around_pair, around_pair - t[a_u][b2_u],
+                    dem[u] + dem[succ_u], route_u[:pu] + route_u[pu + 2 :])
+        head_load_u = work.load_pref[ru][pu]
+        return (ru, pu, route_u, work.stats[ru], load_u, u, um, a_u, b_u, around_u,
+                around_u - t[a_u][b_u], route_u[:pu] + route_u[pu + 1 :], pair,
+                work.arc_pref[ru][pu], head_load_u, load_u - head_load_u,
+                cost_u - work.arc_pref[ru][pu + 1] if b_u else 0)
+
+    def _cross_moves(self, work: _Work, prep: tuple, rv: int, pv: int) -> bool:
+        """Cross-route moves of u (terms from ``_cross_prep``) with the request
+        at position pv of route rv: O(1) cost/load screening, then a bounded
+        walk.
 
         The screen uses new_cost + cap_penalty * new_capacity_excess as a lower
         bound on the new penalized cost (time warp is non-negative), so no
         improving move is ever screened out.
         """
+        (ru, pu, route_u, (cost_u, capex_u, warp_u), load_u, u, um, a_u, b_u, around_u,
+         rm_u, drop_u, pair, head_cost_u, head_load_u, tail_load_u, tail_cost_u) = prep
         ctx = self.ctx
         t = ctx.t
         dem = ctx.demand
         cap = ctx.capacity
         cap_pen, tw_pen = self.cap_pen, self.tw_pen
-        ru, pu = work.pos[u]
-        rv, pv = work.pos[v]
-        route_u = work.routes[ru]
         route_v = work.routes[rv]
-        cost_u, capex_u, warp_u = work.stats[ru]
+        v = route_v[pv]
         cost_v, capex_v, warp_v = work.stats[rv]
-        load_u = work.loads[ru]
         load_v = work.loads[rv]
         old_pen = (
             cost_u + cost_v
@@ -732,14 +767,10 @@ class PcHgs:
             + tw_pen * (warp_u + warp_v)
         )
         bound = old_pen - _EPS
-        um = u + 1
         vm = v + 1
-        a_u = route_u[pu - 1] + 1 if pu > 0 else 0
-        b_u = route_u[pu + 1] + 1 if pu + 1 < len(route_u) else 0
         a_v = route_v[pv - 1] + 1 if pv > 0 else 0
         b_v = route_v[pv + 1] + 1 if pv + 1 < len(route_v) else 0
-        succ_u = route_u[pu + 1] if pu + 1 < len(route_u) else None
-        succ_v = route_v[pv + 1] if pv + 1 < len(route_v) else None
+        around_v = t[a_v][vm] + t[vm][b_v]
 
         def screen(new_cost_u, new_cost_v, new_load_u, new_load_v) -> bool:
             lb = new_cost_u + new_cost_v
@@ -750,36 +781,31 @@ class PcHgs:
             return lb < bound
 
         # relocate u after / before v
-        rm_u = t[a_u][um] + t[um][b_u] - t[a_u][b_u]
         for before in (False, True):
             c, d = (a_v, vm) if before else (vm, b_v)
             ins = t[c][um] + t[um][d] - t[c][d]
             if screen(cost_u - rm_u, cost_v + ins, load_u - dem[u], load_v + dem[u]):
                 at = pv + (0 if before else 1)
                 if self._try_candidate(work, {
-                    ru: route_u[:pu] + route_u[pu + 1 :],
+                    ru: drop_u,
                     rv: route_v[:at] + [u] + route_v[at:],
                 }, bound):
                     return True
 
         # relocate the pair (u, succ_u) after v, forward and reversed
-        if succ_u is not None:
-            sm = succ_u + 1
-            b2_u = route_u[pu + 2] + 1 if pu + 2 < len(route_u) else 0
-            rm_pair = t[a_u][um] + t[um][sm] + t[sm][b2_u] - t[a_u][b2_u]
-            pair_load = dem[u] + dem[succ_u]
-            src = route_u[:pu] + route_u[pu + 2 :]
+        if pair is not None:
+            succ_u, sm, b2_u, around_pair, rm_pair, pair_load, drop_pair = pair
             for block in ((u, succ_u), (succ_u, u)):
                 x, y = block[0] + 1, block[1] + 1
                 ins = t[vm][x] + t[x][y] + t[y][b_v] - t[vm][b_v]
                 if screen(cost_u - rm_pair, cost_v + ins, load_u - pair_load, load_v + pair_load):
                     new_v = route_v[: pv + 1] + list(block) + route_v[pv + 1 :]
-                    if self._try_candidate(work, {ru: src, rv: new_v}, bound):
+                    if self._try_candidate(work, {ru: drop_pair, rv: new_v}, bound):
                         return True
 
         # swap u <-> v
-        du = t[a_u][vm] + t[vm][b_u] - (t[a_u][um] + t[um][b_u])
-        dv = t[a_v][um] + t[um][b_v] - (t[a_v][vm] + t[vm][b_v])
+        du = t[a_u][vm] + t[vm][b_u] - around_u
+        dv = t[a_v][um] + t[um][b_v] - around_v
         if screen(
             cost_u + du, cost_v + dv,
             load_u - dem[u] + dem[v], load_v - dem[v] + dem[u],
@@ -791,25 +817,21 @@ class PcHgs:
                 return True
 
         # swap pair (u, succ_u) <-> v and <-> pair (v, succ_v)
-        if succ_u is not None:
-            sm = succ_u + 1
-            b2_u = route_u[pu + 2] + 1 if pu + 2 < len(route_u) else 0
-            pair_load_u = dem[u] + dem[succ_u]
-            du_pair = t[a_u][vm] + t[vm][b2_u] - (t[a_u][um] + t[um][sm] + t[sm][b2_u])
-            dv_single = (
-                t[a_v][um] + t[um][sm] + t[sm][b_v] - (t[a_v][vm] + t[vm][b_v])
-            )
+        if pair is not None:
+            du_pair = t[a_u][vm] + t[vm][b2_u] - around_pair
+            dv_single = t[a_v][um] + t[um][sm] + t[sm][b_v] - around_v
             if screen(
                 cost_u + du_pair, cost_v + dv_single,
-                load_u - pair_load_u + dem[v], load_v - dem[v] + pair_load_u,
+                load_u - pair_load + dem[v], load_v - dem[v] + pair_load,
             ):
                 if self._try_candidate(work, {
                     ru: route_u[:pu] + [v] + route_u[pu + 2 :],
                     rv: route_v[:pv] + [u, succ_u] + route_v[pv + 1 :],
                 }, bound):
                     return True
-            if succ_v is not None:
-                svm = succ_v + 1
+            if b_v:
+                succ_v = route_v[pv + 1]
+                svm = b_v
                 b2_v = route_v[pv + 2] + 1 if pv + 2 < len(route_v) else 0
                 pair_load_v = dem[v] + dem[succ_v]
                 du2 = t[a_u][vm] + t[svm][b2_u] - (t[a_u][um] + t[sm][b2_u]) + (
@@ -820,8 +842,8 @@ class PcHgs:
                 )
                 if screen(
                     cost_u + du2, cost_v + dv2,
-                    load_u - pair_load_u + pair_load_v,
-                    load_v - pair_load_v + pair_load_u,
+                    load_u - pair_load + pair_load_v,
+                    load_v - pair_load_v + pair_load,
                 ):
                     if self._try_candidate(work, {
                         ru: route_u[:pu] + [v, succ_v] + route_u[pu + 2 :],
@@ -830,27 +852,12 @@ class PcHgs:
                         return True
 
         # 2-opt*: exchange tails after u and after v
-        ap_u = work.arc_pref[ru]
         ap_v = work.arc_pref[rv]
-        lp_u = work.load_pref[ru]
-        lp_v = work.load_pref[rv]
-        head_cost_u = ap_u[pu]
-        head_cost_v = ap_v[pv]
-        tail_load_u = load_u - lp_u[pu]
-        tail_load_v = load_v - lp_v[pv]
-        if b_v:
-            tail_cost_v = cost_v - ap_v[pv + 1]
-            new_cost_u = head_cost_u + t[um][b_v] + tail_cost_v
-        else:
-            new_cost_u = head_cost_u + t[um][0]
-        if b_u:
-            tail_cost_u = cost_u - ap_u[pu + 1]
-            new_cost_v = head_cost_v + t[vm][b_u] + tail_cost_u
-        else:
-            new_cost_v = head_cost_v + t[vm][0]
+        head_load_v = work.load_pref[rv][pv]
+        tail_cost_v = cost_v - ap_v[pv + 1] if b_v else 0
         if screen(
-            new_cost_u, new_cost_v,
-            lp_u[pu] + tail_load_v, lp_v[pv] + tail_load_u,
+            head_cost_u + t[um][b_v] + tail_cost_v, ap_v[pv] + t[vm][b_u] + tail_cost_u,
+            head_load_u + load_v - head_load_v, head_load_v + tail_load_u,
         ):
             if self._try_candidate(work, {
                 ru: route_u[: pu + 1] + route_v[pv + 1 :],
@@ -958,6 +965,14 @@ class PcHgs:
             fresh_u = version[ru] > last
             cu = self._rid(work, ru) if certs else -1
             clean = True
+            # u's side of every exchange; a commit ends the loop
+            route_u = work.routes[ru]
+            um = u + 1
+            a_u = route_u[pu - 1] + 1 if pu > 0 else 0
+            b_u = route_u[pu + 1] + 1 if pu + 1 < len(route_u) else 0
+            cost_wu = work.stats[ru][0] - (t[a_u][um] + t[um][b_u] - t[a_u][b_u])
+            load_wu = work.loads[ru] - dem[u]
+            pen_u = work.route_pen(ru, cap_pen, tw_pen)
             for v in self._neighbors[u]:
                 if v not in work.pos:
                     continue
@@ -966,25 +981,21 @@ class PcHgs:
                     continue
                 if cu >= 0 and (cu, self._rid(work, rv)) in certs:
                     continue
-                route_u = work.routes[ru]
                 route_v = work.routes[rv]
-                um, vm = u + 1, v + 1
-                a_u = route_u[pu - 1] + 1 if pu > 0 else 0
-                b_u = route_u[pu + 1] + 1 if pu + 1 < len(route_u) else 0
+                vm = v + 1
                 a_v = route_v[pv - 1] + 1 if pv > 0 else 0
                 b_v = route_v[pv + 1] + 1 if pv + 1 < len(route_v) else 0
-                cost_wu = work.stats[ru][0] - (t[a_u][um] + t[um][b_u] - t[a_u][b_u])
                 cost_wv = work.stats[rv][0] - (t[a_v][vm] + t[vm][b_v] - t[a_v][b_v])
                 gap_u, ins_v = self._insert_without(work, ru, pu, v)
                 gap_v, ins_u = self._insert_without(work, rv, pv, u)
                 lb = cost_wu + ins_v + cost_wv + ins_u
-                load_u = work.loads[ru] - dem[u] + dem[v]
+                load_u = load_wu + dem[v]
                 load_v = work.loads[rv] - dem[v] + dem[u]
                 if load_u > cap:
                     lb += cap_pen * (load_u - cap)
                 if load_v > cap:
                     lb += cap_pen * (load_v - cap)
-                old = work.route_pen(ru, cap_pen, tw_pen) + work.route_pen(rv, cap_pen, tw_pen)
+                old = pen_u + work.route_pen(rv, cap_pen, tw_pen)
                 if lb >= old - _EPS:
                     continue
                 cand_u = route_u[:pu] + route_u[pu + 1 :]

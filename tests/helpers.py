@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from dynroute.instance import StaticInstance, generate_instance
-from dynroute.pchgs import PcInstance
+from dynroute.pchgs import EvalContext, PcInfeasibleError, PcInstance
 
 
 def square_instance() -> StaticInstance:
@@ -84,3 +85,84 @@ def random_pc(n: int, seed: int, prize_span: tuple[float, float] | None = None) 
     lo, hi = prize_span if prize_span is not None else (-maxc, 2 * maxc)
     prizes = rng.integers(int(lo), int(hi) + 1, size=n).astype(float)
     return pc_from_static(inst, prizes)
+
+
+def reference_route_table(ctx: EvalContext, n: int):
+    """Cheapest route per subset by a separate ordering search for every
+    subset (lexicographic, time-window and cost pruned): the first strictly
+    cheapest ordering wins. Returns (route_cost, route_order) lists."""
+    t = ctx.t
+    route_cost: list[float] = [math.inf] * (1 << n)
+    route_order: list[tuple[int, ...] | None] = [None] * (1 << n)
+    route_cost[0] = 0.0
+    route_order[0] = ()
+    for mask in range(1, 1 << n):
+        members = [r for r in range(n) if mask >> r & 1]
+        if sum(ctx.demand[r] for r in members) > ctx.capacity:
+            continue
+        best = [math.inf, None]
+
+        def extend(order, rem, prev, time, cost):
+            if not rem:
+                back = cost + t[prev][0]
+                if time + t[prev][0] <= ctx.horizon and back < best[0]:
+                    best[:] = [back, tuple(order)]
+                return
+            for i, r in enumerate(rem):
+                arc = t[prev][r + 1]
+                begin = max(time + arc, ctx.open[r])
+                if begin > ctx.close[r] or cost + arc >= best[0]:
+                    continue
+                done = begin + ctx.service[r]
+                extend(order + [r], rem[:i] + rem[i + 1 :], r + 1, done, cost + arc)
+
+        extend([], members, 0, ctx.route_departure(members), 0)
+        if best[1] is not None:
+            route_cost[mask], route_order[mask] = best
+    return route_cost, route_order
+
+
+def reference_partition_table(route_cost: list[float], n: int):
+    """Set-partition DP over every submask step (3^n): the route holding the
+    lowest request, first strict improvement in descending submask order."""
+    size = 1 << n
+    part_cost: list[float] = [math.inf] * size
+    part_choice = [0] * size
+    part_cost[0] = 0.0
+    for mask in range(1, size):
+        low = mask & -mask
+        sub = mask
+        while sub:
+            if sub & low and route_cost[sub] < math.inf:
+                total = route_cost[sub] + part_cost[mask ^ sub]
+                if total < part_cost[mask]:
+                    part_cost[mask], part_choice[mask] = total, sub
+            sub = (sub - 1) & mask
+    return part_cost, part_choice
+
+
+def reference_argmax(part_cost, n: int, prizes, forced_in_mask: int = 0, forced_out_mask: int = 0):
+    """Scalar scan over all served sets in mask order: a value above the
+    best by 1e-12 replaces it; one within 1e-12 replaces it when it serves
+    fewer requests, keeping the larger value. Raises PcInfeasibleError when
+    no set is feasible."""
+    theta = [float(p) for p in prizes]
+    prize_sum = [0.0] * (1 << n)
+    best_val, best_mask = -math.inf, -1
+    for mask in range(1 << n):
+        if mask:
+            low = mask & -mask
+            prize_sum[mask] = prize_sum[mask ^ low] + theta[low.bit_length() - 1]
+        if mask & forced_in_mask != forced_in_mask or mask & forced_out_mask:
+            continue
+        if part_cost[mask] == math.inf:
+            continue
+        val = prize_sum[mask] - part_cost[mask]
+        if val > best_val + 1e-12:
+            best_val, best_mask = val, mask
+        elif val > best_val - 1e-12 and best_mask >= 0:
+            if bin(mask).count("1") < bin(best_mask).count("1"):
+                best_val, best_mask = max(best_val, val), mask
+    if best_mask < 0:
+        raise PcInfeasibleError("no served set consistent with the forced sets is feasible")
+    return best_val, best_mask

@@ -510,9 +510,9 @@ def test_train_deterministic_given_seeds():
     assert r1.log == r2.log
 
 
-def smoke_samples():
-    """The samples with open requests of configs/dataset_smoke.json's first
-    scenario (bench_a, scenario seed 1000)."""
+def smoke_samples(k=0):
+    """The samples with open requests of configs/dataset_smoke.json's
+    scenario k on bench_a (scenario seed 1000 + k)."""
     import json
 
     from dynroute.dataset import build_scenario_samples
@@ -522,7 +522,7 @@ def smoke_samples():
     with open("configs/dataset_smoke.json", "r", encoding="utf-8") as fh:
         config = json.load(fh)
     inst = load_instance(config["instances"][0])
-    seed = config["seed"]
+    seed = config["seed"] + k
     cfg = DynamicConfig(instance_seed=seed, **config["dynamic"])
     params = HgsParams(budget_iters=config["budget_iters"], stall_iters=config["stall_iters"],
                        seed=seed)
@@ -568,3 +568,67 @@ def test_train_with_the_metaheuristic_inner_oracle(monkeypatch):
                pcfg=pcfg, tcfg=tcfg)
     assert r1.log == r2.log
     assert model_to_json_dict(r1.model) == model_to_json_dict(r2.model)
+
+
+def test_batched_loss_equals_the_per_draw_computation():
+    # bench_a's scenario 1004 holds a 12-request state, the largest the
+    # smoke training run sends to the exact oracle
+    samples, instances, cfg = smoke_samples(4)
+    sample = next(s for s in samples if len(s.state.open) == 12)
+    pcfg = PerturbationConfig(epsilon=125.0, n_samples=10, seed=5, exact_auto_max=12)
+    inner = inner_for_sample(sample, instances[sample.instance], cfg, pcfg)
+    assert isinstance(inner, ExactInner)
+    rng = np.random.default_rng(15)
+    theta = rng.normal(500.0, 300.0, 12)
+    z = rng.standard_normal((10, 12))
+    out = perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
+
+    g_bar = target_vector(sample)
+    terms = np.empty(10)
+    g_sum = np.zeros(12)
+    for s in range(10):
+        perturbed = theta + pcfg.epsilon * z[s]
+        value, g_hat = inner.solve(perturbed)
+        terms[s] = value - (float(np.dot(perturbed, g_bar)) + sample.target_h)
+        g_sum += g_hat
+    assert repr(out.loss) == repr(float(terms.mean()))
+    assert out.grad.tobytes() == (g_sum / 10 - g_bar).tobytes()
+    assert repr(out.stderr) == repr(float(terms.std(ddof=1) / np.sqrt(10)))
+
+    # a draw with no feasible served set is named, as before batching
+    assert sample.state.must_dispatch_ids
+    z[3] = np.nan
+    failed = "^inner solver failed on perturbation draw 3: no served set"
+    with pytest.raises(RuntimeError, match=failed):
+        perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
+
+
+def test_failing_hgs_draw_names_the_draw(monkeypatch):
+    import importlib
+
+    from dynroute.learning import HgsInner
+    from dynroute.pchgs import HgsParams, PcInfeasibleError
+
+    loss_module = importlib.import_module("dynroute.learning.loss")
+    samples, instances, cfg = smoke_samples()
+    sample = samples[0]
+    pc = pc_for_state(sample.state, instances[sample.instance], cfg)
+    inner = HgsInner(pc, HgsParams(budget_iters=20, stall_iters=10, init_pool=4, seed=1))
+    solves = []
+    real = loss_module.solve
+
+    def failing(inst, params, warm_start=None):
+        solves.append(inst)
+        if len(solves) == 3:
+            raise PcInfeasibleError("no feasible solution")
+        return real(inst, params, warm_start=warm_start)
+
+    monkeypatch.setattr(loss_module, "solve", failing)
+    n = pc.n_requests
+    z = np.random.default_rng(2).standard_normal((5, n))
+    failed = "^inner solver failed on perturbation draw 2: no feasible solution$"
+    with pytest.raises(RuntimeError, match=failed) as err:
+        perturbed_loss_and_grad(np.full(n, 300.0), sample, inner, PerturbationConfig(), z=z)
+    assert isinstance(err.value.__cause__, PcInfeasibleError)
+    assert len(solves) == 3
+    assert len(inner._pool) == 2

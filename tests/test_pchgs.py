@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dynroute.instance import generate_instance
 from dynroute.pchgs import (
+    ExactSolver,
     HgsParams,
+    PcInfeasibleError,
     PcInstance,
     PcInstanceError,
     brute_force_solve,
@@ -26,7 +29,14 @@ from dynroute.pchgs.solver import (
     _same_route_plans,
 )
 
-from helpers import pc_from_static, random_pc, square_instance
+from helpers import (
+    pc_from_static,
+    random_pc,
+    reference_argmax,
+    reference_partition_table,
+    reference_route_table,
+    square_instance,
+)
 
 
 def small_params(seed=0, iters=200):
@@ -195,6 +205,63 @@ def test_brute_force_rejects_large_instances():
     pc = random_pc(9, seed=3)
     with pytest.raises(ValueError, match="too large"):
         brute_force_solve(pc)
+
+
+def _argmax_outcome(argmax, *args):
+    try:
+        value, mask = argmax(*args)
+    except PcInfeasibleError as exc:
+        return ("infeasible", str(exc))
+    return repr(float(value)), int(mask)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_exact_oracle_matches_the_reference(n):
+    """Route table, partition DP, ``argmax`` and ``argmax_many`` equal the
+    per-subset ordering search, the 3^n DP and the scalar scan (value and
+    mask), with wide windows and integer prizes (exact ties), release times,
+    forced sets, and NaN and -inf prizes."""
+    rng = np.random.default_rng(n)
+    wide = random_pc(n, seed=700 + n)
+    released = mandatory_release_pc(n, seed=800 + n)
+    cases = [
+        wide,
+        dataclasses.replace(wide, forced_in=frozenset({0}), forced_out=frozenset({n - 1})),
+        released,
+        dataclasses.replace(released, forced_in=frozenset(), prizes=wide.prizes),
+    ]
+    for pc in cases:
+        ex = ExactSolver(pc, max_requests=n)
+        route_cost, route_order = reference_route_table(EvalContext(pc), n)
+        part_cost, part_choice = reference_partition_table(route_cost, n)
+        assert ex.route_cost == route_cost
+        assert ex.route_order == route_order
+        assert ex.part_cost == part_cost
+        assert ex.part_choice == part_choice
+        maxc = pc.max_cost()
+        # a prize equal to the request's round trip ties serving it alone with not serving it
+        trip = np.array([pc.travel[0, r + 1] + pc.travel[r + 1, 0] for r in range(n)], dtype=float)
+        thetas = [np.asarray(pc.prizes), np.zeros(n), trip, trip + maxc * rng.integers(0, 2, n)]
+        # serving the cheapest lone request gains under 1e-12: within the tie
+        # tolerance, so the scan keeps the earlier, smaller served set
+        lone = min(range(n), key=lambda r: route_cost[1 << r])
+        thetas.append(np.zeros(n))
+        thetas[-1][lone] = route_cost[1 << lone] + 5e-13
+        thetas += [rng.integers(-maxc, 2 * maxc, n).astype(float) for _ in range(4)]
+        thetas += [rng.normal(0.0, maxc, n) for _ in range(4)]
+        for r, bad in ((0, np.nan), (int(rng.integers(n)), np.nan), (0, -np.inf)):
+            thetas.append(rng.normal(0.0, maxc, n))
+            thetas[-1][r] = bad
+        masks_in, masks_out = ex.forced_in_mask, ex.forced_out_mask
+        expected = [_argmax_outcome(reference_argmax, part_cost, n, theta, masks_in, masks_out)
+                    for theta in thetas]
+        assert [_argmax_outcome(ex.argmax, theta) for theta in thetas] == expected
+        values, masks = ex.argmax_many(np.array(thetas))
+        for value, mask, want in zip(values, masks, expected):
+            if want[0] == "infeasible":
+                assert mask == -1
+            else:
+                assert (repr(float(value)), int(mask)) == want
 
 
 # ------------------------------------------------------------------ solve

@@ -11,6 +11,10 @@ number of solves. Two checkouts whose search trajectories agree print the
 same line, so a change meant to keep outputs byte-identical can be checked
 with one run on each side.
 
+``pipeline`` also prints a training digest: the sha256 (first 16 hex digits)
+of the training loss log (``repr`` of every ``train_loss``) and the final
+model's weights and biases (their raw float64 bytes, layer by layer).
+
 Nothing under ``bench/`` is changed: the workload's scratch files go to a
 temporary directory, and no bytecode is cached.
 """
@@ -53,6 +57,12 @@ def main() -> int:
         wl = workloads.WORKLOADS[args.workload](args.seed)
         wl.check(wl.timed(None))
     print(f"{args.workload} seed {args.seed}: {count} solves {digest.hexdigest()[:16]}")
+    result = getattr(wl, "result", None)
+    if result is not None:
+        trained = hashlib.sha256(repr([row["train_loss"] for row in result.log]).encode())
+        for arr in result.model.weights + result.model.biases:
+            trained.update(arr.astype("<f8").tobytes())
+        print(f"{args.workload} seed {args.seed}: training {trained.hexdigest()[:16]}")
     return 0
 
 
