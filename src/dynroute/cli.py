@@ -137,9 +137,22 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
+def _learning_configs(config: dict, seed: int | None) -> tuple[PerturbationConfig, TrainConfig]:
+    """The perturbation and training settings of a train config; ``seed``,
+    when given, replaces the training seed."""
+    pdata = dict(config.get("perturbation", {}))
+    inner = _hgs_params(pdata.pop("inner", {"budget_iters": 80, "stall_iters": 40}),
+                        seed=pdata.pop("inner_seed", 1))
+    tdata = dict(config.get("train", {}))
+    if seed is not None:
+        tdata["seed"] = seed
+    return PerturbationConfig(inner_params=inner, **pdata), TrainConfig(**tdata)
+
+
 def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    pcfg, tcfg = _learning_configs(config, args.seed)
     dataset_path = config["dataset"]
     meta_path = config.get("meta", dataset_path + ".meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
@@ -147,14 +160,6 @@ def cmd_train(args) -> int:
     cfg = _dynamic_config(meta["dynamic"])
     samples = load_dataset(dataset_path, cfg)
     instances = {name: load_instance(path) for name, path in meta["instances"].items()}
-
-    pdata = dict(config.get("perturbation", {}))
-    inner = _hgs_params(pdata.pop("inner", {"budget_iters": 80, "stall_iters": 40}), seed=pdata.pop("inner_seed", 1))
-    pcfg = PerturbationConfig(inner_params=inner, **pdata)
-    tdata = dict(config.get("train", {}))
-    if args.seed is not None:
-        tdata["seed"] = args.seed
-    tcfg = TrainConfig(**tdata)
 
     result = train(
         samples,
@@ -200,15 +205,13 @@ def _run_policy_task(task: dict) -> dict:
     try:
         policy = Policy(task["spec"], inst, cfg, model=task["model"])
         result = run_episode(inst, cfg, policy)
-        wall = time.perf_counter() - t0
         return {
             "instance": inst.name,
             "seed": cfg.instance_seed,
             "policy": task["policy_name"],
             "status": "ok",
             "total_cost": result.total_cost,
-            "epochs": len(result.per_epoch),
-            "wall_time_s": wall,
+            "wall_time_s": time.perf_counter() - t0,
             "record": result.to_json_dict(cfg, inst.name),
         }
     except Exception as exc:
@@ -270,10 +273,6 @@ def cmd_benchmark(args) -> int:
         policies.append((name, spec, model))
     baseline_cfg = config.get("baseline", {"budget_iters": 1200, "stall_iters": 400})
 
-    deterministic = all(spec.budget_s is None for _, spec, _ in policies) and (
-        baseline_cfg.get("budget_s") is None
-    )
-
     policy_tasks = [
         {
             "inst": inst,
@@ -314,15 +313,11 @@ def cmd_benchmark(args) -> int:
         base = baseline_by_key[(r["instance"], r["seed"])]
         return (r["total_cost"] - base) / base if base else None
 
-    def fmt_wall(w: float) -> str:
-        return "0.000" if deterministic else f"{w:.3f}"
-
     results_path = os.path.join(out_dir, "results.csv")
     with open(results_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["instance", "seed", "policy", "total_cost", "baseline_cost", "relative_gap",
-             "wall_time_s", "status"]
+            ["instance", "seed", "policy", "total_cost", "baseline_cost", "relative_gap", "status"]
         )
         for r in policy_results:
             base = baseline_by_key[(r["instance"], r["seed"])]
@@ -332,24 +327,10 @@ def cmd_benchmark(args) -> int:
                 gap = gap_of(r)
                 writer.writerow(
                     [r["instance"], r["seed"], r["policy"], r["total_cost"], base,
-                     "" if gap is None else f"{gap:.6f}", fmt_wall(r["wall_time_s"]), "ok"]
+                     "" if gap is None else f"{gap:.6f}", "ok"]
                 )
             else:
-                writer.writerow(
-                    [r["instance"], r["seed"], r["policy"], "", base, "",
-                     fmt_wall(r["wall_time_s"]), r["status"]]
-                )
-
-    episodes_path = os.path.join(out_dir, "episodes.csv")
-    with open(episodes_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "seed", "policy", "total_cost", "epochs", "wall_time_s"])
-        for r in policy_results:
-            if r["status"] == "ok":
-                writer.writerow(
-                    [r["instance"], r["seed"], r["policy"], r["total_cost"], r["epochs"],
-                     fmt_wall(r["wall_time_s"])]
-                )
+                writer.writerow([r["instance"], r["seed"], r["policy"], "", base, "", r["status"]])
 
     with open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,4 +1,4 @@
-"""Mini-batch SGD over the smoothed regret loss."""
+"""Mini-batch Adam over the smoothed regret loss."""
 
 from __future__ import annotations
 
@@ -27,17 +27,15 @@ class TrainConfig:
     batch_size: int = 4
     learning_rate: float = 0.05
     lr_decay: float = 1.0
-    optimizer: str = "adam"
     seed: int = 0
-    model_seed: int = 0
 
     def validate(self) -> None:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
+        if self.lr_decay <= 0:
+            raise ValueError("lr_decay must be > 0")
 
 
 @dataclass
@@ -47,8 +45,7 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, model: PrizeModel, lr: float):
-        self.lr = lr
+    def __init__(self, model: PrizeModel):
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.mw = [np.zeros_like(w) for w in model.weights]
@@ -105,12 +102,11 @@ def train(
         (r - np.asarray(fcfg.mean)) / np.asarray(fcfg.scale) for r in raw
     ]
     output_scale = float(max(instances[s.instance].travel.max() for s in usable))
-    model = init_model(model_kind, fcfg, seed=tcfg.model_seed, output_scale=output_scale)
+    model = init_model(model_kind, fcfg, output_scale=output_scale)
     model.meta = {
         "epsilon": pcfg.epsilon,
         "n_samples": pcfg.n_samples,
         "seed": tcfg.seed,
-        "model_seed": tcfg.model_seed,
         "set_kind": set_kind,
     }
     inners: dict[int, object] = {}
@@ -123,7 +119,7 @@ def train(
     scaled = dataclasses.replace(pcfg, epsilon=pcfg.epsilon * model.output_scale)
     z_rng = np.random.default_rng([pcfg.seed, 7])
 
-    adam = _Adam(model, tcfg.learning_rate) if tcfg.optimizer == "adam" else None
+    adam = _Adam(model)
     log: list[dict] = []
 
     for epoch in range(tcfg.epochs):
@@ -146,12 +142,7 @@ def train(
                     grads_w[li] += gw[li] / len(batch)
                     grads_b[li] += gb[li] / len(batch)
             if lr > 0:
-                if adam is not None:
-                    adam.step(model, grads_w, grads_b, lr)
-                else:
-                    for li in range(len(model.weights)):
-                        model.weights[li] -= lr * grads_w[li]
-                        model.biases[li] -= lr * grads_b[li]
+                adam.step(model, grads_w, grads_b, lr)
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
         log.append({"epoch": epoch, "train_loss": train_loss})
 

@@ -685,11 +685,6 @@ class PcHgs:
         work.commit(changes)
         return True
 
-    def _try_pair_moves(self, work: _Work, u: int, v: int) -> bool:
-        if work.pos[u][0] == work.pos[v][0]:
-            return self._try_same_route_moves(work, u, v)
-        return self._cross_moves(work, self._cross_prep(work, u), *work.pos[v])
-
     def _try_same_route_moves(self, work: _Work, u: int, v: int) -> bool:
         """Relocations, block swaps and 2-opt of (u, v) within one route.
 

@@ -115,15 +115,19 @@ class HgsParams:
     def validate(self) -> None:
         if self.budget_iters is None and self.budget_s is None:
             raise ValueError("one of budget_iters / budget_s must be set")
+        if self.init_pool is not None and self.init_pool < 1:
+            raise ValueError("init_pool must be >= 1")
 
 
 @dataclass
 class Individual:
     """One member of the genetic population.
 
-    ``giant`` is the route-delimiter-free visit order of the served requests;
-    absent requests are unserved. Routes are kept explicitly and re-derived
-    from the giant tour by the split procedure after crossover.
+    ``routes`` are kept explicitly; ``giant`` is their concatenation, the
+    route-delimiter-free visit order of the served requests, and absent
+    requests are unserved. SREX crossover builds the child's routes
+    directly; the split procedure cuts a giant tour into routes only for the
+    random and constructed individuals.
     """
 
     giant: list[int]

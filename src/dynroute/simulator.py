@@ -29,6 +29,8 @@ class DynamicConfig:
     def validate(self, inst: StaticInstance) -> None:
         if self.n_epochs < 1 or self.sample_size < 1:
             raise ValueError("n_epochs and sample_size must be positive")
+        if self.epoch_duration < 1:
+            raise ValueError("epoch_duration must be >= 1")
         if self.dispatch_offset < 0:
             raise ValueError("dispatch_offset must be >= 0")
         if self.n_epochs * self.epoch_duration > inst.horizon:

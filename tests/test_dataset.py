@@ -17,7 +17,13 @@ from dynroute.dataset import (
 from dynroute.encode import build_pc_instance
 from dynroute.instance import generate_instance, load_instance
 from dynroute.pchgs import ExactSolver, HgsParams, solve
-from dynroute.simulator import Decision, DynamicConfig, OpenRequest, validate_decision
+from dynroute.simulator import (
+    Decision,
+    DynamicConfig,
+    OpenRequest,
+    run_episode,
+    validate_decision,
+)
 
 from helpers import square_instance
 
@@ -160,6 +166,20 @@ def test_library_calls_reject_epochs_past_the_horizon(tmp_path):
     for call in (build_scenario_samples, anticipative_baseline_cost):
         with pytest.raises(ValueError, match="exceeds horizon 28800"):
             call(inst, cfg, params())
+
+
+@pytest.mark.parametrize("duration", [0, -3600])
+def test_library_calls_reject_a_non_positive_epoch_duration(tmp_path, duration):
+    inst = load_instance("tests/fixtures/bench_a.json")
+    cfg = DynamicConfig(n_epochs=5, sample_size=8, instance_seed=1000, epoch_duration=duration)
+    out = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match="epoch_duration must be >= 1"):
+        build_dataset([inst], cfg, n_scenarios=1, params=params(), seed=1000, out_path=str(out))
+    assert not out.exists()
+    decisions = []
+    with pytest.raises(ValueError, match="epoch_duration must be >= 1"):
+        run_episode(inst, cfg, decisions.append)
+    assert decisions == []
 
 
 def _route_cost(inst, state, route):

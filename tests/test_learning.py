@@ -472,14 +472,22 @@ def test_train_zero_learning_rate_keeps_weights():
 
     samples, instances, cfg = tiny_dataset()
     pcfg = PerturbationConfig(epsilon=0.5, n_samples=4, seed=1)
-    tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.0, optimizer="sgd", seed=2)
+    tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.0, seed=2)
     result = train(samples, instances, cfg, set_kind="model_free", model_kind="mlp",
                    pcfg=pcfg, tcfg=tcfg)
-    fresh = init_model("mlp", result.model.feature_config, seed=tcfg.model_seed,
-                       output_scale=result.model.output_scale)
+    fresh = init_model("mlp", result.model.feature_config, output_scale=result.model.output_scale)
     for w0, w1 in zip(fresh.weights, result.model.weights):
         assert np.array_equal(w0, w1)
     assert len(result.log) == 3
+
+
+@pytest.mark.parametrize("decay", [0.0, -0.97])
+def test_train_rejects_a_non_positive_lr_decay(decay):
+    from dynroute.learning import TrainConfig, train
+
+    samples, instances, cfg = tiny_dataset()
+    with pytest.raises(ValueError, match="lr_decay must be > 0"):
+        train(samples, instances, cfg, tcfg=TrainConfig(lr_decay=decay))
 
 
 def test_train_loss_decreases_on_tiny_dataset():
@@ -487,7 +495,7 @@ def test_train_loss_decreases_on_tiny_dataset():
 
     samples, instances, cfg = tiny_dataset()
     pcfg = PerturbationConfig(epsilon=1.0, n_samples=6, seed=3)
-    tcfg = TrainConfig(epochs=10, batch_size=3, learning_rate=0.05, optimizer="adam", seed=4)
+    tcfg = TrainConfig(epochs=10, batch_size=3, learning_rate=0.05, seed=4)
     result = train(samples, instances, cfg, set_kind="model_free", model_kind="mlp",
                    pcfg=pcfg, tcfg=tcfg)
     first = result.log[0]["train_loss"]
@@ -501,7 +509,7 @@ def test_train_deterministic_given_seeds():
 
     samples, instances, cfg = tiny_dataset()
     pcfg = PerturbationConfig(epsilon=1.0, n_samples=4, seed=5)
-    tcfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.05, optimizer="adam", seed=6)
+    tcfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.05, seed=6)
     r1 = train(samples, instances, cfg, set_kind="model_free", model_kind="linear",
                pcfg=pcfg, tcfg=tcfg)
     r2 = train(samples, instances, cfg, set_kind="model_free", model_kind="linear",
@@ -546,7 +554,7 @@ def test_train_with_the_metaheuristic_inner_oracle(monkeypatch):
         exact_auto_max=min(len(s.state.open) for s in samples) - 1,
         inner_params=HgsParams(budget_iters=50, stall_iters=25, init_pool=6, seed=1),
     )
-    tcfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.05, optimizer="adam", seed=6)
+    tcfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.05, seed=6)
     calls = []
     loss_and_grad = train_module.perturbed_loss_and_grad
 

@@ -207,6 +207,12 @@ def test_brute_force_rejects_large_instances():
         brute_force_solve(pc)
 
 
+@pytest.mark.parametrize("pool", [0, -1])
+def test_hgs_rejects_an_initial_pool_below_one(pool):
+    with pytest.raises(ValueError, match="init_pool must be >= 1"):
+        PcHgs(random_pc(6, seed=1), HgsParams(budget_iters=10, init_pool=pool))
+
+
 def _argmax_outcome(argmax, *args):
     try:
         value, mask = argmax(*args)
@@ -477,8 +483,13 @@ def assert_fixed_point(engine: PcHgs, ind) -> None:
     work = _Work(probe.ctx, ind.routes)
     for u in list(work.pos):
         for v in probe._neighbors[u]:
-            if v in work.pos:
-                assert not probe._try_pair_moves(work, u, v), (u, v)
+            if v not in work.pos:
+                continue
+            if work.pos[u][0] == work.pos[v][0]:
+                moved = probe._try_same_route_moves(work, u, v)
+            else:
+                moved = probe._cross_moves(work, probe._cross_prep(work, u), *work.pos[v])
+            assert not moved, (u, v)
     assert not probe._relocate_star(work, {}, set())
     assert not probe._swap_star(work, {}, set())
 
