@@ -34,24 +34,43 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(HgsParams) if f.name != "seed")
+# The top-level keys of each command's config file.
+COMMAND_KEYS = {
+    "build-dataset": "instances dynamic out n_scenarios seed".split() + list(BUDGET_KEYS),
+    "train": "dataset out_model meta out_log set_kind model_kind perturbation train".split(),
+    "benchmark": "instances dynamic policies out_dir n_instance_seeds base_seed baseline".split(),
+}
+
+
+def _check_keys(data: dict, known, where: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} config keys: {unknown}")
+
+
+def from_config(cls, data: dict, where: str, **fixed):
+    """``cls`` from the config object ``data`` and the ``fixed`` fields. A key
+    naming no other field fails, so no misspelt setting falls back to a default."""
+    _check_keys(data, {f.name for f in dataclasses.fields(cls)} - set(fixed), where)
+    return cls(**data, **fixed)
+
+
+def _read_config(args) -> dict:
+    """The command's config file; a top-level key it does not read fails."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    _check_keys(config, COMMAND_KEYS[args.command], args.command)
+    return config
+
+
 def _dynamic_config(data: dict) -> DynamicConfig:
-    return DynamicConfig(
-        n_epochs=int(data["n_epochs"]),
-        sample_size=int(data["sample_size"]),
-        instance_seed=0,
-        epoch_duration=int(data.get("epoch_duration", 3600)),
-        dispatch_offset=int(data.get("dispatch_offset", 3600)),
-    )
+    data = {k: int(v) for k, v in data.items()}
+    return from_config(DynamicConfig, data, "dynamic", instance_seed=0)
 
 
-def _hgs_params(data: dict, seed: int) -> HgsParams:
-    return HgsParams(
-        budget_iters=data.get("budget_iters", 600),
-        budget_s=data.get("budget_s"),
-        stall_iters=data.get("stall_iters"),
-        init_pool=data.get("init_pool"),
-        seed=seed,
-    )
+def _hgs_params(data: dict, seed: int, where: str = "budget") -> HgsParams:
+    return from_config(HgsParams, data, where, seed=seed)
 
 
 # ----------------------------------------------------------------- commands
@@ -102,7 +121,8 @@ def cmd_solve_static(args) -> int:
         forced_in=forced_in,
         ids=tuple(range(1, n + 1)),
     )
-    sol = solve(pc, _hgs_params(vars(args), seed=args.seed))
+    budget = {k: v for k in BUDGET_KEYS if (v := getattr(args, k, None)) is not None}
+    sol = solve(pc, _hgs_params(budget, seed=args.seed))
     out = sol.to_json_dict(pc)
     out["mode"] = args.mode
     out["instance"] = inst.name
@@ -116,20 +136,19 @@ def cmd_solve_static(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _read_config(args)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out = args.out or config["out"]
-    params = _hgs_params(_override_budget(config, args), seed=seed)
-    instances = [load_instance(p) for p in config["instances"]]
+    n_scenarios = int(config.get("n_scenarios", 3))
+    budget = {k: config[k] for k in BUDGET_KEYS if k in config}
+    params = _hgs_params(_override_budget(budget, args), seed=seed)
     cfg = _dynamic_config(config["dynamic"])
-    count = build_dataset(
-        instances, cfg, int(config.get("n_scenarios", 3)), params, seed, out
-    )
+    instances = [load_instance(p) for p in config["instances"]]
+    count = build_dataset(instances, cfg, n_scenarios, params, seed, out)
     meta = {
         "dynamic": config["dynamic"],
         "instances": {inst.name: path for inst, path in zip(instances, config["instances"])},
-        "n_scenarios": int(config.get("n_scenarios", 3)),
+        "n_scenarios": n_scenarios,
         "seed": seed,
     }
     _write_json(out + ".meta.json", meta)
@@ -142,16 +161,16 @@ def _learning_configs(config: dict, seed: int | None) -> tuple[PerturbationConfi
     when given, replaces the training seed."""
     pdata = dict(config.get("perturbation", {}))
     inner = _hgs_params(pdata.pop("inner", {"budget_iters": 80, "stall_iters": 40}),
-                        seed=pdata.pop("inner_seed", 1))
+                        seed=pdata.pop("inner_seed", 1), where="inner")
     tdata = dict(config.get("train", {}))
     if seed is not None:
         tdata["seed"] = seed
-    return PerturbationConfig(inner_params=inner, **pdata), TrainConfig(**tdata)
+    pcfg = from_config(PerturbationConfig, pdata, "perturbation", inner_params=inner)
+    return pcfg, from_config(TrainConfig, tdata, "train")
 
 
 def cmd_train(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _read_config(args)
     pcfg, tcfg = _learning_configs(config, args.seed)
     dataset_path = config["dataset"]
     meta_path = config.get("meta", dataset_path + ".meta.json")
@@ -248,22 +267,17 @@ def _run_baseline_task(task: dict) -> dict:
 
 
 def cmd_benchmark(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _read_config(args)
     out_dir = args.out or config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
-
     base_seed = args.seed if args.seed is not None else int(config.get("base_seed", 1))
     n_seeds = int(config.get("n_instance_seeds", 20))
     seeds = [base_seed + k for k in range(n_seeds)]
-    # Load every instance, check the dynamic config against each, parse every
-    # spec and load every model up front, so a bad config fails before any
-    # solving starts.
-    instances = [load_instance(p) for p in config["instances"]]
+    # Build every config object, load every model and instance and check the
+    # dynamic config against each instance up front, so a bad config fails
+    # before any solving starts or any output is written.
     dynamic = _dynamic_config(config["dynamic"])
-    for inst in instances:
-        dynamic.validate(inst)
+    baseline = _hgs_params(config.get("baseline", {"budget_iters": 1200, "stall_iters": 400}),
+                           seed=base_seed, where="baseline")
     policies = []
     for pdata in config["policies"]:
         pdata = _override_budget(pdata, args)
@@ -271,7 +285,10 @@ def cmd_benchmark(args) -> int:
         spec = spec_from_dict(pdata)
         model = load_model(spec.model_path) if spec.kind == "ml_co" else None
         policies.append((name, spec, model))
-    baseline_cfg = config.get("baseline", {"budget_iters": 1200, "stall_iters": 400})
+    instances = [load_instance(p) for p in config["instances"]]
+    for inst in instances:
+        dynamic.validate(inst)
+    os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
 
     policy_tasks = [
         {
@@ -289,7 +306,7 @@ def cmd_benchmark(args) -> int:
         {
             "inst": inst,
             "cfg": dataclasses.replace(dynamic, instance_seed=seed),
-            "params": _hgs_params(baseline_cfg, seed=seed),
+            "params": dataclasses.replace(baseline, seed=seed),
         }
         for inst in instances
         for seed in seeds
@@ -341,7 +358,7 @@ def cmd_benchmark(args) -> int:
             writer.writerow([r["instance"], r["seed"], r["policy"], f"{r['wall_time_s']:.3f}"])
 
     aggregate: dict[str, dict] = {}
-    for name, _, _ in policies:
+    for name, spec, _ in policies:
         rows = [r for r in policy_results if r["policy"] == name]
         ok = [r for r in rows if r["status"] == "ok"]
         gaps = [g for g in map(gap_of, ok) if g is not None]
@@ -354,12 +371,14 @@ def cmd_benchmark(args) -> int:
             "var_gap": float(np.var(gaps)) if gaps else None,
             "mean_cost": float(np.mean(costs)) if costs else None,
             "var_cost": float(np.var(costs)) if costs else None,
+            "spec": dataclasses.asdict(spec),
         }
     baseline_costs = [c for c in baseline_by_key.values() if c is not None]
     aggregate["anticipative"] = {
         "mean_cost": float(np.mean(baseline_costs)) if baseline_costs else None,
         "var_cost": float(np.var(baseline_costs)) if baseline_costs else None,
         "n": len(baseline_costs),
+        "budget": {k: getattr(baseline, k) for k in BUDGET_KEYS},
     }
     _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
 
@@ -406,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prize-file", default=None)
     p.add_argument("--prize-const", type=float, default=0.0)
     p.add_argument("--departure", type=int, default=0)
-    p.add_argument("--budget-iters", type=int, default=600, dest="budget_iters")
+    p.add_argument("--budget-iters", type=int, default=None, dest="budget_iters")
     p.add_argument("--budget-s", type=float, default=None, dest="budget_s")
     p.add_argument("--stall-iters", type=int, default=None, dest="stall_iters")
     p.add_argument("--seed", type=int, default=0)

@@ -29,7 +29,7 @@ class TrainConfig:
     lr_decay: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.learning_rate < 0:
@@ -85,7 +85,6 @@ def train(
     """
     pcfg = pcfg or PerturbationConfig()
     tcfg = tcfg or TrainConfig()
-    tcfg.validate()
     usable = [s for s in samples if len(s.state.open) > 0]
     if not usable:
         raise ValueError("dataset has no samples with open requests")

@@ -392,7 +392,6 @@ class PcHgs:
 
     def __init__(self, inst: PcInstance, params: HgsParams | None = None):
         params = params or HgsParams()
-        params.validate()
         self.inst = inst
         self.params = params
         self.ctx = EvalContext(inst)

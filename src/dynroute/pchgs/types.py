@@ -112,7 +112,7 @@ class HgsParams:
     init_pool: int | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.budget_iters is None and self.budget_s is None:
             raise ValueError("one of budget_iters / budget_s must be set")
         if self.init_pool is not None and self.init_pool < 1:

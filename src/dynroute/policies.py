@@ -41,13 +41,12 @@ class PolicySpec:
             raise ValueError("n_scenarios must be >= 1")
         if self.kind == "ml_co" and self.model_path is None:
             raise ValueError("ml_co policy needs a model_path")
+        HgsParams(budget_iters=self.budget_iters, budget_s=self.budget_s)  # the solver's rule
 
 
 def _params(spec: PolicySpec, epoch: int, share: float = 1.0, salt: int = 0) -> HgsParams:
     iters = None if spec.budget_iters is None else max(1, int(spec.budget_iters * share))
     secs = None if spec.budget_s is None else spec.budget_s * share
-    if iters is None and secs is None:
-        iters = 300
     return HgsParams(
         budget_iters=iters,
         budget_s=secs,
@@ -226,8 +225,6 @@ class Policy:
 
 
 def spec_from_dict(data: dict) -> PolicySpec:
-    known = {f.name for f in dataclasses.fields(PolicySpec)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown policy config keys: {sorted(unknown)}")
-    return PolicySpec(**data)
+    from .cli import from_config  # deferred: the command layer imports this module
+
+    return from_config(PolicySpec, data, "policy")

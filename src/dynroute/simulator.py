@@ -9,7 +9,6 @@ what they dispatch.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -93,7 +92,6 @@ class EpochRecord:
     dispatched_ids: tuple[int, ...]
     routes: tuple[tuple[int, ...], ...]
     cost: int
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -298,9 +296,7 @@ def run_episode(
     total = 0
     for epoch in range(cfg.n_epochs):
         sampled = tuple(r.id for r in state.open if r.reveal_epoch == epoch)
-        t0 = _time.perf_counter()
         decision = policy(state)
-        wall = _time.perf_counter() - t0
         violations = validate_decision(state, inst, cfg, decision)
         if violations:
             raise InvalidDecisionError(epoch, violations)
@@ -313,7 +309,6 @@ def run_episode(
                 dispatched_ids=tuple(sorted(decision.dispatched_ids)),
                 routes=decision.routes,
                 cost=cost,
-                wall_time_s=wall,
             )
         )
         if epoch < cfg.n_epochs - 1:

@@ -328,8 +328,10 @@ def test_benchmark_reports_a_failed_baseline_as_empty_cells(tmp_path, capsys, mo
     assert all(float(r["total_cost"]) > 0 for r in failed)
     assert all(float(r["baseline_cost"]) > 0 and r["relative_gap"] for r in kept)
     agg = json.loads(open(os.path.join(cfg["out_dir"], "aggregate.json")).read())
-    assert agg["anticipative"] == {"mean_cost": float(kept[0]["baseline_cost"]),
-                                   "var_cost": 0.0, "n": 1}
+    assert agg["anticipative"] == {
+        "mean_cost": float(kept[0]["baseline_cost"]), "var_cost": 0.0, "n": 1,
+        "budget": {"budget_iters": 80, "budget_s": None, "stall_iters": 40, "init_pool": None},
+    }
     for name in ("greedy", "lazy"):
         (row,) = [r for r in kept if r["policy"] == name]
         assert agg[name]["n_ok"] == 2
@@ -395,6 +397,157 @@ def test_build_dataset_rejects_epochs_past_the_horizon(tmp_path, capsys):
     assert not os.path.exists(cfg["out"])
 
 
+def test_benchmark_rejects_an_invalid_baseline_budget_before_solving(tmp_path, capsys,
+                                                                   monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "6", "--seed", "37", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [inst_path])
+    cfg["baseline"]["init_pool"] = 0
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    calls = count_baselines(monkeypatch)
+    rc = main(["benchmark", "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError" and "init_pool must be >= 1" in payload["error"]
+    assert calls == []
+    assert not os.path.exists(os.path.join(cfg["out_dir"], "results.csv"))
+
+
+def test_build_dataset_with_an_invalid_budget_leaves_its_output_as_it_was(tmp_path, capsys):
+    cfg = dataset_config(tmp_path, ["tests/fixtures/bench_a.json"], n_scenarios=1)
+    cfg["init_pool"] = 0
+    cfg_path = tmp_path / "build.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with open(cfg["out"], "wb") as fh:
+        fh.write(b"an earlier dataset\n")
+    rc = main(["build-dataset", "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError" and "init_pool must be >= 1" in payload["error"]
+    assert open(cfg["out"], "rb").read() == b"an earlier dataset\n"
+
+
+def test_train_rejects_an_invalid_inner_budget_the_exact_oracle_never_uses(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "8", "--seed", "17", "--out", str(inst_path))
+    cfg = dataset_config(tmp_path, [inst_path], n_scenarios=1)
+    cfg_path = tmp_path / "build.json"
+    cfg_path.write_text(json.dumps(cfg))
+    run_cli("build-dataset", "--config", str(cfg_path))
+    n_max = max(len(json.loads(line)["open_requests"]) for line in open(cfg["out"]))
+    train_cfg = {
+        "dataset": cfg["out"],
+        "set_kind": "model_free",
+        "model_kind": "linear",
+        # every sample takes the exact oracle, so no solve reads `inner`
+        "perturbation": {"epsilon": 1.0, "n_samples": 2, "seed": 1, "exact_auto_max": n_max,
+                         "inner": {"budget_iters": 30, "init_pool": 0}},
+        "train": {"epochs": 1, "batch_size": 2, "learning_rate": 0.1, "seed": 2},
+        "out_model": str(tmp_path / "model.json"),
+    }
+    t_path = tmp_path / "train.json"
+    t_path.write_text(json.dumps(train_cfg))
+    rc = main(["train", "--config", str(t_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "ValueError" and "init_pool must be >= 1" in payload["error"]
+    assert not os.path.exists(train_cfg["out_model"])
+
+
+def spy_loaders(monkeypatch) -> list:
+    """The instance and dataset paths the command goes on to load."""
+    loaded = []
+    for name in ("load_instance", "load_dataset"):
+        def spy(path, *args, load=getattr(cli, name)):
+            loaded.append(path)
+            return load(path, *args)
+        monkeypatch.setattr(cli, name, spy)
+    return loaded
+
+
+@pytest.mark.parametrize("command, where, key", [
+    ("benchmark", "dynamic", "epoch_duraton"),
+    ("benchmark", "baseline", "stall_iter"),
+    ("benchmark", "policy", "budget_iter"),
+    ("train", "inner", "budget_iter"),
+    ("train", "perturbation", "epsilom"),
+    ("train", "train", "epoch"),
+])
+def test_a_misspelt_key_fails_before_anything_is_loaded(tmp_path, capsys, monkeypatch,
+                                                        command, where, key):
+    """The key is named, and neither an instance nor a dataset is loaded."""
+    if command == "benchmark":
+        cfg = benchmark_config(tmp_path, ["tests/fixtures/bench_a.json"])
+        obj = {"dynamic": cfg["dynamic"], "baseline": cfg["baseline"],
+               "policy": cfg["policies"][0]}[where]
+    else:
+        cfg = {"dataset": str(tmp_path / "missing.jsonl"), "out_model": str(tmp_path / "m.json"),
+               "perturbation": {"inner": {"budget_iters": 30}}, "train": {"epochs": 1}}
+        obj = {"inner": cfg["perturbation"]["inner"], "perturbation": cfg["perturbation"],
+               "train": cfg["train"]}[where]
+    obj[key] = 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    loaded = spy_loaders(monkeypatch)
+    rc = main([command, "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"type": "ValueError", "error": f"unknown {where} config keys: ['{key}']"}
+    assert loaded == []
+
+
+@pytest.mark.parametrize("command, key", [("build-dataset", "budget_iter"),
+                                          ("train", "model_knd")])
+def test_a_misspelt_top_level_key_fails_before_anything_is_loaded(tmp_path, capsys,
+                                                                  monkeypatch, command, key):
+    """A config that runs with defaults once the key is dropped: the key is
+    named, and neither an instance nor a dataset is loaded."""
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "8", "--seed", "17", "--out", str(inst_path))
+    cfg = dataset_config(tmp_path, [inst_path], n_scenarios=1)
+    if command == "train":
+        cfg_path = tmp_path / "build.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run_cli("build-dataset", "--config", str(cfg_path))
+        cfg = {"dataset": cfg["out"], "out_model": str(tmp_path / "model.json"),
+               "perturbation": {"n_samples": 2}, "train": {"epochs": 1}}
+    out = cfg.get("out_model", cfg.get("out"))
+    if os.path.exists(out):
+        os.remove(out)
+    cfg[key] = "linear" if key == "model_knd" else 20
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    loaded = spy_loaders(monkeypatch)
+    rc = main([command, "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"type": "ValueError", "error": f"unknown {command} config keys: ['{key}']"}
+    assert loaded == []
+    assert not os.path.exists(out)
+
+
+def test_aggregate_records_the_budgets_a_benchmark_ran_under(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen-instance", "--n", "6", "--seed", "37", "--out", str(inst_path))
+    cfg = benchmark_config(tmp_path, [inst_path])
+    cfg["policies"] = cfg["policies"][:1]
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    baseline = {"budget_iters": 80, "budget_s": None, "stall_iters": 40, "init_pool": None}
+    spec = {"kind": "greedy", "seed": 1, "budget_iters": 60, "budget_s": None,
+            "stall_iters": 30, "n_scenarios": 9, "model_path": None}
+    aggregate = os.path.join(cfg["out_dir"], "aggregate.json")
+    run_cli("benchmark", "--config", str(cfg_path))
+    agg = json.loads(open(aggregate).read())
+    assert agg["greedy"]["spec"] == spec
+    assert agg["anticipative"]["budget"] == baseline
+    run_cli("benchmark", "--config", str(cfg_path), "--budget-s", "0.05")
+    agg = json.loads(open(aggregate).read())
+    assert agg["greedy"]["spec"] == dict(spec, budget_iters=None, budget_s=0.05)
+    assert agg["anticipative"]["budget"] == baseline
+
+
 def test_hgs_params_are_the_budget_a_config_sets():
     fields = [f.name for f in dataclasses.fields(HgsParams) if f.name != "seed"]
     for name in fields:
@@ -407,28 +560,24 @@ def test_hgs_params_are_the_budget_a_config_sets():
 @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
 def test_config_file_builds_what_its_command_builds(name, monkeypatch):
     """Each file under configs/ yields, without solving, the objects that the
-    command reading it builds, and each of them validates."""
+    command reading it builds; building them checks them."""
     monkeypatch.chdir(ROOT)  # the files name their instances relative to the root
     config = json.loads((ROOT / "configs" / name).read_text())
-    budgets = []
     if "train" in config:  # dynroute train
-        pcfg, tcfg = cli._learning_configs(config, None)
-        tcfg.validate()
-        budgets.append(pcfg.inner_params)
+        cli._learning_configs(config, None)
     else:  # build-dataset and benchmark
         dynamic = cli._dynamic_config(config["dynamic"])
         for path in config["instances"]:
             dynamic.validate(load_instance(path))
         if "policies" in config:
-            budgets.append(cli._hgs_params(config["baseline"], seed=0))
+            cli._hgs_params(config["baseline"], seed=0)
             for pdata in config["policies"]:
                 spec = spec_from_dict({k: v for k, v in pdata.items() if k != "name"})
                 if spec.kind == "ml_co":
                     load_model(spec.model_path)
         else:
-            budgets.append(cli._hgs_params(config, seed=config["seed"]))
-    for params in budgets:
-        params.validate()
+            cli._hgs_params({k: config[k] for k in cli.BUDGET_KEYS if k in config},
+                            seed=config["seed"])
 
 
 def test_benchmark_rejects_missing_model_before_solving(tmp_path, capsys, monkeypatch):

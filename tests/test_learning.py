@@ -578,6 +578,35 @@ def test_train_with_the_metaheuristic_inner_oracle(monkeypatch):
     assert model_to_json_dict(r1.model) == model_to_json_dict(r2.model)
 
 
+def test_hgs_inner_against_the_exact_oracle_on_a_14_request_state():
+    """bench_a's scenario 1056 holds a 14-request state at epoch 1, certified by
+    the exact oracle. At criterion 7's inner budget, on ten draws of the
+    committed model's prizes perturbed as in the smoke training run,
+    ``HgsInner`` never beats the exact argmax and reaches it on a recorded
+    number of draws: a change in that number is a change in the inner
+    oracle."""
+    from dynroute.learning import HgsInner
+    from dynroute.pchgs import HgsParams
+
+    samples, instances, cfg = smoke_samples(56)
+    (sample,) = [s for s in samples if s.epoch == 1]
+    inst = instances[sample.instance]
+    assert len(sample.state.open) == 14
+    model = load_model("tests/fixtures/model_bench.json")
+    theta = predict_prizes(model, extract_features(sample.state, inst, cfg, model.feature_config))
+    thetas = theta + 0.05 * model.output_scale * np.random.default_rng(0).standard_normal((10, 14))
+    pc = pc_for_state(sample.state, inst, cfg, prizes=None, force_must_dispatch=True)
+    exact = ExactSolver(pc, max_requests=14)
+    inner = HgsInner(pc, HgsParams(budget_iters=50, stall_iters=25, init_pool=6, seed=1))
+    reached = 0
+    for th in thetas:
+        best, _ = exact.argmax(th)
+        value, _ = inner.solve(th)
+        assert value <= best + 1e-6
+        reached += abs(value - best) <= 1e-6
+    assert reached == 6
+
+
 def test_batched_loss_equals_the_per_draw_computation():
     # bench_a's scenario 1004 holds a 12-request state, the largest the
     # smoke training run sends to the exact oracle

@@ -322,6 +322,29 @@ def test_solve_objective_audit_and_forced_sets():
             assert capex == 0 and warp == 0
 
 
+def test_solve_under_a_wall_clock_budget_alone():
+    """With no iteration limit the deadline ends the search. Nothing is timed:
+    ``initialize`` ignores the deadline, so even a spent budget returns the
+    best individual of the initial pool."""
+    pc = dataclasses.replace(random_pc(8, seed=44), forced_in=frozenset({0}))
+    sol = solve(pc, HgsParams(budget_iters=None, budget_s=0.01, seed=3))
+    assert sol.budget_mode == "wall_clock"
+    assert 0 in sol.served
+    ctx = EvalContext(pc)
+    assert sorted(v for r in sol.routes for v in r) == sorted(sol.served)
+    for route in sol.routes:
+        assert ctx.eval_route(list(route))[1:] == (0, 0)
+    recomputed = sum(pc.prizes[v] for v in sorted(sol.served)) - sum(
+        ctx.route_cost(list(r)) for r in sol.routes
+    )
+    assert abs(sol.objective - recomputed) <= 1e-9
+
+
+def test_hgs_params_need_an_iteration_or_a_wall_clock_budget():
+    with pytest.raises(ValueError, match="one of budget_iters / budget_s must be set"):
+        HgsParams(budget_iters=None)
+
+
 def test_solve_incumbent_trace_is_monotone():
     pc = random_pc(8, seed=44)
     engine = PcHgs(pc, small_params(seed=2))

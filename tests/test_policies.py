@@ -305,3 +305,32 @@ def test_spec_from_dict_validation():
         spec_from_dict({"kind": "alien"})
     s = spec_from_dict({"kind": "monte_carlo", "n_scenarios": 5})
     assert s.n_scenarios == 5
+
+
+def test_a_spec_with_neither_budget_is_rejected():
+    with pytest.raises(ValueError, match="one of budget_iters / budget_s must be set"):
+        spec_from_dict({"kind": "greedy", "budget_iters": None})
+    with pytest.raises(ValueError, match="one of budget_iters / budget_s must be set"):
+        PolicySpec(kind="monte_carlo", budget_iters=None, budget_s=None)
+
+
+def test_monte_carlo_splits_a_wall_clock_budget_across_its_scenarios(monkeypatch):
+    """Each scenario solve gets 0.8 / n_scenarios of the spec's seconds and no
+    iteration limit. Nothing is timed."""
+    inst = generate_instance(14, seed=52)
+    cfg = cfg_for(inst, n_epochs=3, sample_size=8, seed=20)
+    state = initial_state(inst, cfg)
+    budgets = []
+
+    def no_routes(requests, inst, params):
+        budgets.append(params)
+        return (), 0
+
+    monkeypatch.setattr(policies, "solve_offline_with_release", no_routes)
+    s = spec("monte_carlo", budget_iters=None, budget_s=0.03, n_scenarios=3)
+    decision = decide_monte_carlo(state, inst, cfg, s)
+    assert validate_decision(state, inst, cfg, decision) == []
+    assert len(budgets) == 3
+    for params in budgets:
+        assert params.budget_iters is None
+        assert params.budget_s == pytest.approx(0.03 * 0.8 / 3)
