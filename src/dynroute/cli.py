@@ -194,9 +194,11 @@ def cmd_train(args) -> int:
     log_path = config.get("out_log", out_model + ".log.csv")
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss"])
+        writer.writerow(["epoch", "train_loss", "dead_units", "prize_p10", "prize_p50", "prize_p90"])
         for row in result.log:
-            writer.writerow([row["epoch"], f"{row['train_loss']:.6f}"])
+            writer.writerow([row["epoch"], f"{row['train_loss']:.6f}",
+                             "/".join(map(str, row["dead_units"]))]
+                            + [f"{row[k]:.2f}" for k in ("prize_p10", "prize_p50", "prize_p90")])
     print(f"wrote {out_model} and {log_path}")
     return 0
 

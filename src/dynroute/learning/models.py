@@ -75,6 +75,14 @@ def predict_prizes(model: PrizeModel, feats: np.ndarray) -> np.ndarray:
     return model.output_scale * raw
 
 
+def activity(model: PrizeModel, feats: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Prizes of a feature matrix's rows and, per hidden layer, the number of
+    units that no row activates (dead ReLUs), from one forward pass."""
+    raw, acts = _forward(model, feats)
+    dead = [int(np.count_nonzero(~(a > 0).any(axis=0))) for a in acts[1:-1]]
+    return model.output_scale * raw, dead
+
+
 def backprop(
     model: PrizeModel, feats: np.ndarray, grad_theta: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:

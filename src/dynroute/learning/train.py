@@ -12,7 +12,7 @@ from ..simulator import DynamicConfig
 from ..dataset import TrainingSample
 from .features import extract_features_raw, fit_standardization
 from .loss import PerturbationConfig, inner_for_sample, perturbed_loss_and_grad
-from .models import PrizeModel, backprop, init_model, predict_prizes
+from .models import PrizeModel, activity, backprop, init_model, predict_prizes
 
 
 class TrainingDiverged(RuntimeError):
@@ -120,6 +120,7 @@ def train(
 
     adam = _Adam(model)
     log: list[dict] = []
+    all_feats = np.vstack(feats)
 
     for epoch in range(tcfg.epochs):
         lr = tcfg.learning_rate * (tcfg.lr_decay**epoch)
@@ -143,7 +144,12 @@ def train(
             if lr > 0:
                 adam.step(model, grads_w, grads_b, lr)
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        log.append({"epoch": epoch, "train_loss": train_loss})
+        # A dying network shows as a hidden layer with no live unit and prizes
+        # that no longer vary across the training rows.
+        prizes, dead = activity(model, all_feats)
+        p10, p50, p90 = np.percentile(prizes, [10, 50, 90])
+        log.append({"epoch": epoch, "train_loss": train_loss, "dead_units": dead,
+                    "prize_p10": float(p10), "prize_p50": float(p50), "prize_p90": float(p90)})
 
     model.meta["trained_epochs"] = tcfg.epochs
     return TrainResult(model=model, log=log)

@@ -38,7 +38,6 @@ ALPHA_RM, ALPHA_INS = 0.1, 0.1  # shares of served/unserved requests that mutati
 GRANULARITY = 20  # granular neighbors kept per request
 P_OPT = 0.25  # chance of a perturbed request-set pass on each child
 DELTA_LO, DELTA_HI = 0.8, 1.2  # range of that pass's saving/detour factors
-TW_PENALTY = 3.0  # the time-window penalty
 
 
 def preprocess(inst: PcInstance) -> tuple[frozenset[int], frozenset[int]]:
@@ -401,8 +400,9 @@ class PcHgs:
         self.forced_out = frozenset(inst.forced_out | add_out)
         self.allowed = [r for r in range(inst.n_requests) if r not in self.forced_out]
         self.prizes = list(inst.prizes)
+        # Both penalties start at HGS-CVRP's instance-scale capacity start.
         self.cap_pen = max(1.0, inst.max_cost() / max(1, max(inst.demand, default=1)))
-        self.tw_pen = TW_PENALTY
+        self.tw_pen = self.cap_pen
         self._neighbors = self._granular_neighbors()
         self.pop = Population()
         self.incumbent: _Incumbent | None = None

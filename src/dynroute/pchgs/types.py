@@ -102,8 +102,9 @@ class HgsParams:
     the seed.
 
     Everything else about the search (population sizes, elite, closest
-    neighbours, mutation rates, granularity, the time-window penalty,
-    request-set perturbation range) is a fixed constant in ``solver``.
+    neighbours, mutation rates, granularity, request-set perturbation range)
+    is a fixed constant in ``solver``; both penalties start from the
+    instance's scale. Budgets are not negative.
     """
 
     budget_iters: int | None = 600
@@ -117,6 +118,10 @@ class HgsParams:
             raise ValueError("one of budget_iters / budget_s must be set")
         if self.init_pool is not None and self.init_pool < 1:
             raise ValueError("init_pool must be >= 1")
+        for name in ("budget_iters", "budget_s", "stall_iters"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

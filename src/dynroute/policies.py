@@ -41,7 +41,9 @@ class PolicySpec:
             raise ValueError("n_scenarios must be >= 1")
         if self.kind == "ml_co" and self.model_path is None:
             raise ValueError("ml_co policy needs a model_path")
-        HgsParams(budget_iters=self.budget_iters, budget_s=self.budget_s)  # the solver's rule
+        # The solver's budget rules.
+        HgsParams(budget_iters=self.budget_iters, budget_s=self.budget_s,
+                  stall_iters=self.stall_iters)
 
 
 def _params(spec: PolicySpec, epoch: int, share: float = 1.0, salt: int = 0) -> HgsParams:

@@ -64,7 +64,7 @@ TRAIN_PERTURBATION = {
     "epsilon": 0.05, "n_samples": 10, "seed": 5, "exact_auto_max": 12,
     "inner": {"budget_iters": 50, "stall_iters": 25, "init_pool": 6},
 }
-TRAIN_SETTINGS = {"epochs": 50, "batch_size": 5, "learning_rate": 0.05,
+TRAIN_SETTINGS = {"epochs": 50, "batch_size": 5, "learning_rate": 0.005,
                   "lr_decay": 0.97, "seed": 6}
 
 
@@ -536,6 +536,35 @@ def test_criterion_7_training_efficacy(training_run):
            f"loss {loss_init:.0f}->{loss_final:.0f} "
            f"({1 - loss_final / max(loss_init, 1e-9):.0%} drop), "
            f"ml_co vs greedy {margin:+.1%}")
+    assert ok
+
+
+def test_criterion_7_network_stays_alive(training_run):
+    """A trained network whose hidden layer never fires on the dataset's rows
+    predicts one prize for every request, whatever its loss or margin; one
+    with a single live unit left can still give most rows one prize."""
+    from dynroute.dataset import load_dataset
+    from dynroute.learning import activity, extract_features, load_model
+    from dynroute.learning.models import MLP_HIDDEN
+
+    _, dataset_path, model_out = training_run
+    cfg = DynamicConfig(instance_seed=0, **TRAIN_DYNAMIC)
+    model = load_model(model_out)
+    instances = {load_instance(p).name: load_instance(p) for p in BENCH_INSTANCES[:2]}
+    feats = np.vstack([
+        extract_features(s.state, instances[s.instance], cfg, model.feature_config)
+        for s in load_dataset(dataset_path, cfg) if s.state.open
+    ])
+    prizes, dead = activity(model, feats)
+    p10, p50, p90 = np.percentile(prizes, [10, 50, 90])
+    commonest = int(np.unique(prizes, return_counts=True)[1].max())
+    # The second test also rules out one prize for every row.
+    ok = all(d < width for d, width in zip(dead, MLP_HIDDEN)) and commonest < len(prizes) / 2
+    report(7, "network stays alive", ok,
+           f"dead units per hidden layer {dead}, prize p10/p50/p90 "
+           f"{p10:.0f}/{p50:.0f}/{p90:.0f} over {len(prizes)} rows, "
+           f"commonest prize on {commonest}")
+    assert len(dead) == len(MLP_HIDDEN)
     assert ok
 
 

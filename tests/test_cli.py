@@ -108,8 +108,12 @@ def test_build_dataset_and_train_round_trip(tmp_path):
     assert model.kind == "mlp"
     with open(train_cfg["out_model"] + ".log.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][:2] == ["epoch", "train_loss"]
+    assert rows[0] == ["epoch", "train_loss", "dead_units", "prize_p10", "prize_p50", "prize_p90"]
     assert len(rows) == 1 + 2
+    for row in rows[1:]:
+        assert len(row[2].split("/")) == 4  # one count per hidden layer
+        p10, p50, p90 = map(float, row[3:])
+        assert p10 <= p50 <= p90
 
 
 def test_train_zero_epochs_equals_initialization(tmp_path):

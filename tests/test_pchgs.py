@@ -345,6 +345,19 @@ def test_hgs_params_need_an_iteration_or_a_wall_clock_budget():
         HgsParams(budget_iters=None)
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [dict(budget_iters=-5), dict(budget_s=-1.0, budget_iters=None), dict(stall_iters=-3)],
+    ids=["budget_iters", "budget_s", "stall_iters"],
+)
+def test_hgs_params_reject_a_negative_budget(budget):
+    """A negative budget would return the initial pool's best after 0
+    iterations, so a sign typo would run a whole benchmark at no search."""
+    name = next(iter(budget))
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        HgsParams(**budget)
+
+
 def test_solve_incumbent_trace_is_monotone():
     pc = random_pc(8, seed=44)
     engine = PcHgs(pc, small_params(seed=2))
@@ -473,12 +486,15 @@ def test_penalized_bounded_is_penalized_below_bound(mode, seed, cap_pen, tw_pen,
 
 
 def test_penalties_stay_fixed_through_a_solve():
-    """The capacity and time-window penalties end a solve at their start
-    values: only the repair pass raises them, for one local search."""
+    """The capacity and time-window penalties both start at the instance's
+    scale, max_cost / max_demand, and end a solve there: only the repair pass
+    raises them, for one local search."""
     pc = mandatory_release_pc(15, seed=3)
     engine = PcHgs(pc, HgsParams(budget_iters=200, stall_iters=None, seed=0))
     start = (engine.cap_pen, engine.tw_pen)
-    assert engine.tw_pen == solver.TW_PENALTY
+    capacity_start = max(1.0, pc.max_cost() / max(pc.demand))
+    assert capacity_start > 1.0
+    assert start == (capacity_start, capacity_start)
     engine.run()
     assert engine.iterations == 200
     assert (engine.cap_pen, engine.tw_pen) == start
@@ -653,28 +669,22 @@ def test_same_route_plans_are_shared_immutable_tuples():
         assert _same_route_plans(n, pu, pv) is plans
 
 
-# Outputs recorded before the route certificates, top-3 insertion tables and
-# O(1) move bounds went in; iteration-budget outputs must stay byte-identical.
+# Outputs recorded when the time-warp penalty took the capacity penalty's
+# start; iteration-budget outputs must stay byte-identical.
 GOLDEN_PARAMS = dict(budget_iters=60, stall_iters=25, init_pool=12)
+_MANDATORY_60 = (
+    ((7, 22, 3, 10, 17, 8), (12, 13, 20, 19), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
+     (24, 2, 18, 1, 9)),
+    -8522.0,
+)
+_PRIZE_60 = (((8, 9, 1, 5, 2, 20, 19), (23, 15, 7, 0, 3, 4, 24, 10, 22, 11)), 18420.0)
 GOLDEN = {
     ("prize", 0): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 31),
-    ("prize", 1): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 52),
-    ("prize", 2): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 46),
-    ("mandatory", 0): (
-        ((7, 22, 3, 10, 17, 8), (12, 13, 20, 19), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
-         (24, 2, 18, 1, 9)),
-        -8522.0, 50,
-    ),
-    ("mandatory", 1): (
-        ((7, 22, 3, 10, 17, 8), (12, 11, 20, 0, 19), (13, 24, 2, 18, 1, 9), (14,),
-         (15, 6, 16, 5, 4), (23, 21)),
-        -8555.0, 25,
-    ),
-    ("mandatory", 2): (
-        ((7, 22, 3, 10, 17, 8), (12, 13, 20, 19), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
-         (24, 2, 18, 1, 9)),
-        -8522.0, 26,
-    ),
+    ("prize", 1): (*_PRIZE_60, 36),
+    ("prize", 2): (*_PRIZE_60, 30),
+    ("mandatory", 0): (*_MANDATORY_60, 52),
+    ("mandatory", 1): (*_MANDATORY_60, 25),
+    ("mandatory", 2): (*_MANDATORY_60, 43),
 }
 
 

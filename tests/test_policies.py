@@ -314,6 +314,12 @@ def test_a_spec_with_neither_budget_is_rejected():
         PolicySpec(kind="monte_carlo", budget_iters=None, budget_s=None)
 
 
+@pytest.mark.parametrize("key", ["budget_iters", "budget_s", "stall_iters"])
+def test_a_spec_with_a_negative_budget_is_rejected(key):
+    with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+        PolicySpec(kind="greedy", **{key: -1})
+
+
 def test_monte_carlo_splits_a_wall_clock_budget_across_its_scenarios(monkeypatch):
     """Each scenario solve gets 0.8 / n_scenarios of the spec's seconds and no
     iteration limit. Nothing is timed."""
