@@ -65,7 +65,11 @@ def _read_config(args) -> dict:
 
 
 def _dynamic_config(data: dict) -> DynamicConfig:
-    data = {k: int(v) for k, v in data.items()}
+    """The ``dynamic`` object; every value is a JSON integer, so ``5.7`` fails
+    instead of running as 5."""
+    for key, value in data.items():
+        if type(value) is not int:
+            raise ValueError(f"dynamic config key {key!r} must be an integer, got {value!r}")
     return from_config(DynamicConfig, data, "dynamic", instance_seed=0)
 
 

@@ -25,7 +25,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 4
-    learning_rate: float = 0.05
+    learning_rate: float = 0.005
     lr_decay: float = 1.0
     seed: int = 0
 

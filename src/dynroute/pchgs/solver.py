@@ -1210,7 +1210,11 @@ class PcHgs:
         seeded = self.make_individual(self.split(self._construction_order()))
         self._improve(seeded)
         self._insert_new(seeded)
-        target = self.params.init_pool or (MU + LAM)
+        # Unset, the pool grows with the iteration budget: one member per MU
+        # iterations, at least the two above and at most MU (MU with no
+        # iteration budget), so short solves spend their budget on the loop.
+        iters = self.params.budget_iters
+        target = self.params.init_pool or (MU if iters is None else min(MU, max(2, iters // MU)))
         while len(self.pop.members()) < target:
             ind = self._random_individual()
             self._improve(ind)

@@ -98,8 +98,9 @@ class PcSolution:
 @dataclass
 class HgsParams:
     """Search budget: an iteration and/or wall-clock limit, an optional stall
-    limit, the initial pool size (default: the population's full size) and
-    the seed.
+    limit, the initial pool size (default: one member per ``solver.MU``
+    iterations of ``budget_iters``, from 2 to ``MU``; ``MU`` with no
+    iteration budget) and the seed.
 
     Everything else about the search (population sizes, elite, closest
     neighbours, mutation rates, granularity, request-set perturbation range)

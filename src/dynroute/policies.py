@@ -53,7 +53,6 @@ def _params(spec: PolicySpec, epoch: int, share: float = 1.0, salt: int = 0) -> 
         budget_iters=iters,
         budget_s=secs,
         stall_iters=spec.stall_iters,
-        init_pool=8,
         seed=spec.seed * 1_000_003 + epoch * 101 + salt,
     )
 

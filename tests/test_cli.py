@@ -501,6 +501,39 @@ def test_a_misspelt_key_fails_before_anything_is_loaded(tmp_path, capsys, monkey
     assert loaded == []
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("build-dataset", "n_epochs", 5.7),
+    ("benchmark", "epoch_duration", 3600.9),
+    ("benchmark", "sample_size", "5"),
+    ("train", "n_epochs", 3.0),
+])
+def test_a_non_integer_dynamic_setting_fails_before_anything_is_loaded(
+        tmp_path, capsys, monkeypatch, command, key, value):
+    """The key is named instead of the value being truncated, and neither an
+    instance nor a dataset is loaded; ``train`` reads it from the dataset's
+    meta file."""
+    inst_path = str(tmp_path / "inst.json")
+    if command != "train":
+        build = dataset_config if command == "build-dataset" else benchmark_config
+        cfg = build(tmp_path, [inst_path])
+        cfg["dynamic"][key] = value
+    else:
+        dynamic = dict(dataset_config(tmp_path, [inst_path])["dynamic"], **{key: value})
+        meta_path = tmp_path / "data.meta.json"
+        meta_path.write_text(json.dumps({"dynamic": dynamic, "instances": {"x": inst_path}}))
+        cfg = {"dataset": str(tmp_path / "data.jsonl"), "meta": str(meta_path),
+               "out_model": str(tmp_path / "m.json")}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    loaded = spy_loaders(monkeypatch)
+    rc = main([command, "--config", str(cfg_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"type": "ValueError",
+                       "error": f"dynamic config key {key!r} must be an integer, got {value!r}"}
+    assert loaded == []
+
+
 @pytest.mark.parametrize("command, key", [("build-dataset", "budget_iter"),
                                           ("train", "model_knd")])
 def test_a_misspelt_top_level_key_fails_before_anything_is_loaded(tmp_path, capsys,

@@ -528,6 +528,18 @@ def test_train_rejects_a_non_positive_lr_decay(decay):
         train(samples, instances, cfg, tcfg=TrainConfig(lr_decay=decay))
 
 
+def test_train_default_step_is_the_smoke_step():
+    """A config that omits ``learning_rate`` trains at the smoke config's step,
+    not at 0.05, which leaves the smoke MLP's last hidden layers dead."""
+    import json
+
+    from dynroute.learning import TrainConfig
+
+    with open("configs/train_smoke.json", "r", encoding="utf-8") as fh:
+        smoke = json.load(fh)["train"]["learning_rate"]
+    assert TrainConfig().learning_rate == smoke == 0.005
+
+
 def test_train_loss_decreases_on_tiny_dataset():
     from dynroute.learning import TrainConfig, train
 

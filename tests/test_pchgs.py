@@ -213,6 +213,26 @@ def test_hgs_rejects_an_initial_pool_below_one(pool):
         PcHgs(random_pc(6, seed=1), HgsParams(budget_iters=10, init_pool=pool))
 
 
+@pytest.mark.parametrize("budget_iters, budget_s, init_pool, members", [
+    (8, None, None, 2),
+    (20, None, None, 2),
+    (80, None, None, 6),
+    (100, None, None, 8),
+    (200, None, None, solver.MU),
+    (None, 1.0, None, solver.MU),
+    (200, None, 5, 5),
+    (8, None, 6, 6),
+])
+def test_initial_pool_follows_the_iteration_budget(budget_iters, budget_s, init_pool, members):
+    """Unset, the pool is one member per MU iterations, from the two that
+    ``initialize`` always builds up to MU, and MU with no iteration budget;
+    an explicit ``init_pool`` wins."""
+    params = HgsParams(budget_iters=budget_iters, budget_s=budget_s, init_pool=init_pool)
+    engine = PcHgs(random_pc(10, seed=4), params)
+    engine.initialize()
+    assert len(engine.pop.members()) == members
+
+
 def _argmax_outcome(argmax, *args):
     try:
         value, mask = argmax(*args)

@@ -11,9 +11,13 @@ number of solves. Two checkouts whose search trajectories agree print the
 same line, so a change meant to keep outputs byte-identical can be checked
 with one run on each side.
 
-``pipeline`` also prints a training digest: the sha256 (first 16 hex digits)
-of the training loss log (``repr`` of every ``train_loss``) and the final
-model's weights and biases (their raw float64 bytes, layer by layer).
+``pipeline`` also prints two more digests (sha256, first 16 hex digits). The
+targets digest hashes the imitation targets, ``repr`` of every sample's
+``(target_served, target_h)`` in dataset order, so hindsight solves that
+reorder a route without changing what is served or what it costs keep it.
+The training digest hashes the training loss log (``repr`` of every
+``train_loss``) and the final model's weights and biases (their raw float64
+bytes, layer by layer).
 
 Nothing under ``bench/`` is changed: the workload's scratch files go to a
 temporary directory, and no bytecode is cached.
@@ -57,6 +61,10 @@ def main() -> int:
         wl = workloads.WORKLOADS[args.workload](args.seed)
         wl.check(wl.timed(None))
     print(f"{args.workload} seed {args.seed}: {count} solves {digest.hexdigest()[:16]}")
+    samples = getattr(wl, "samples", None)
+    if samples is not None:
+        targets = hashlib.sha256(repr([(s.target_served, s.target_h) for s in samples]).encode())
+        print(f"{args.workload} seed {args.seed}: targets {targets.hexdigest()[:16]}")
     result = getattr(wl, "result", None)
     if result is not None:
         trained = hashlib.sha256(repr([row["train_loss"] for row in result.log]).encode())
