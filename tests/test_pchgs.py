@@ -233,6 +233,41 @@ def test_initial_pool_follows_the_iteration_budget(budget_iters, budget_s, init_
     assert len(engine.pop.members()) == members
 
 
+def test_a_spent_wall_clock_budget_stops_the_initial_pool():
+    """The deadline counts from the first line of ``run``: a spent budget
+    still builds the two construction members, then no random member and no
+    iteration."""
+    engine = PcHgs(random_pc(25, seed=4), HgsParams(budget_iters=None, budget_s=1e-9))
+    sol = engine.run()
+    assert (sol.iterations, sol.budget_mode) == (0, "wall_clock")
+    assert len(engine.pop.members()) == 2
+
+
+def test_granular_neighbors_keep_the_most_correlated_allowed_requests():
+    """Each allowed request keeps its GRANULARITY allowed requests of lowest
+    travel + wait + lateness, in that order, never itself or a forced-out one."""
+    pc = dataclasses.replace(random_pc(25, seed=31), forced_out=frozenset({2, 9, 17}))
+    engine = PcHgs(pc, small_params())
+    ctx = engine.ctx
+    allowed = set(engine.allowed)
+    assert pc.forced_out <= engine.forced_out and not allowed & engine.forced_out
+    assert len(allowed) - 1 > solver.GRANULARITY  # the cut bites
+    assert set(engine._neighbors) == allowed
+
+    def correlation(u, v):
+        tuv = ctx.t[u + 1][v + 1]
+        wait = max(0, ctx.open[v] - (ctx.close[u] + ctx.service[u] + tuv))
+        late = max(0, ctx.open[u] + ctx.service[u] + tuv - ctx.close[v])
+        return tuv + wait + late
+
+    for u, near in engine._neighbors.items():
+        assert len(near) == min(solver.GRANULARITY, len(allowed) - 1)
+        assert u not in near and set(near) <= allowed
+        kept = [correlation(u, v) for v in near]
+        assert kept == sorted(kept)
+        assert all(correlation(u, v) >= kept[-1] for v in allowed - set(near) - {u})
+
+
 def _argmax_outcome(argmax, *args):
     try:
         value, mask = argmax(*args)
@@ -344,8 +379,7 @@ def test_solve_objective_audit_and_forced_sets():
 
 def test_solve_under_a_wall_clock_budget_alone():
     """With no iteration limit the deadline ends the search. Nothing is timed:
-    ``initialize`` ignores the deadline, so even a spent budget returns the
-    best individual of the initial pool."""
+    even a spent budget returns the best of the two construction members."""
     pc = dataclasses.replace(random_pc(8, seed=44), forced_in=frozenset({0}))
     sol = solve(pc, HgsParams(budget_iters=None, budget_s=0.01, seed=3))
     assert sol.budget_mode == "wall_clock"
@@ -689,22 +723,32 @@ def test_same_route_plans_are_shared_immutable_tuples():
         assert _same_route_plans(n, pu, pv) is plans
 
 
-# Outputs recorded when the time-warp penalty took the capacity penalty's
-# start; iteration-budget outputs must stay byte-identical.
+# Outputs recorded with 8 granular neighbors per request; iteration-budget
+# outputs must stay byte-identical.
 GOLDEN_PARAMS = dict(budget_iters=60, stall_iters=25, init_pool=12)
-_MANDATORY_60 = (
-    ((7, 22, 3, 10, 17, 8), (12, 13, 20, 19), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
-     (24, 2, 18, 1, 9)),
-    -8522.0,
-)
-_PRIZE_60 = (((8, 9, 1, 5, 2, 20, 19), (23, 15, 7, 0, 3, 4, 24, 10, 22, 11)), 18420.0)
+_PRIZE_60 = (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0)
 GOLDEN = {
-    ("prize", 0): (((8, 9, 1, 7, 0, 3, 5, 2, 19), (23, 15, 20, 4, 24, 10, 22, 11)), 18454.0, 31),
-    ("prize", 1): (*_PRIZE_60, 36),
-    ("prize", 2): (*_PRIZE_60, 30),
-    ("mandatory", 0): (*_MANDATORY_60, 52),
-    ("mandatory", 1): (*_MANDATORY_60, 25),
-    ("mandatory", 2): (*_MANDATORY_60, 43),
+    ("prize", 0): (*_PRIZE_60, 33),
+    ("prize", 1): (*_PRIZE_60, 35),
+    ("prize", 2): (*_PRIZE_60, 40),
+    ("mandatory", 0): (
+        ((7, 17), (12, 13, 0, 11), (14,), (15, 6, 16, 5, 20), (19, 22, 3, 10, 8), (23, 21, 4),
+         (24, 2, 18, 1, 9)),
+        -8871.0,
+        25,
+    ),
+    ("mandatory", 1): (
+        ((7, 22, 3, 10, 17, 8), (12, 11, 20, 0, 19), (13, 24, 2, 18, 1, 9), (14,),
+         (15, 6, 16, 5, 4), (23, 21)),
+        -8555.0,
+        25,
+    ),
+    ("mandatory", 2): (
+        ((7, 3, 10, 8), (12, 13, 20, 19, 22, 17), (14,), (15, 6, 16, 5, 4), (23, 21, 0, 11),
+         (24, 2, 18, 1, 9)),
+        -8532.0,
+        25,
+    ),
 }
 
 
