@@ -23,9 +23,10 @@ import numpy as np
 from .dataset import anticipative_baseline_cost, build_dataset, load_dataset
 from .instance import generate_instance, load_instance
 from .learning import PerturbationConfig, TrainConfig, load_model, save_model, train
-from .pchgs import HgsParams, PcInstance, solve
+from .encode import build_pc_instance
+from .pchgs import HgsParams, solve
 from .policies import Policy, spec_from_dict
-from .simulator import DynamicConfig, InvalidDecisionError, run_episode
+from .simulator import DynamicConfig, InvalidDecisionError, OpenRequest, run_episode
 
 
 def _write_json(path: str, obj) -> None:
@@ -100,9 +101,14 @@ def cmd_gen_instance(args) -> int:
 def cmd_solve_static(args) -> int:
     inst = load_instance(args.instance)
     n = inst.n_locations - 1
+    # Every customer row is one request, with its row number as id.
+    requests = [
+        OpenRequest(id=k, location=k, demand=inst.demand[k], service=inst.service[k],
+                    tw_open=inst.tw[k][0], tw_close=inst.tw[k][1], reveal_epoch=0)
+        for k in range(1, n + 1)
+    ]
     if args.mode == "mandatory":
-        prizes = [0.0] * n
-        forced_in = frozenset(range(n))
+        prizes, forced = None, [r.id for r in requests]
     else:
         if args.prize_file:
             with open(args.prize_file, "r", encoding="utf-8") as fh:
@@ -111,20 +117,8 @@ def cmd_solve_static(args) -> int:
                 raise ValueError(f"prize file has {len(prizes)} entries for {n} requests")
         else:
             prizes = [float(args.prize_const)] * n
-        forced_in = frozenset()
-    pc = PcInstance(
-        travel=inst.travel.copy(),
-        demand=tuple(inst.demand[1:]),
-        service=tuple(inst.service[1:]),
-        tw_open=tuple(o for o, _ in inst.tw[1:]),
-        tw_close=tuple(c for _, c in inst.tw[1:]),
-        prizes=tuple(prizes),
-        capacity=inst.capacity,
-        departure=args.departure,
-        horizon=inst.horizon,
-        forced_in=forced_in,
-        ids=tuple(range(1, n + 1)),
-    )
+        forced = []
+    pc = build_pc_instance(requests, inst, args.departure, prizes, forced)
     budget = {k: v for k in BUDGET_KEYS if (v := getattr(args, k, None)) is not None}
     sol = solve(pc, _hgs_params(budget, seed=args.seed))
     out = sol.to_json_dict(pc)

@@ -14,7 +14,9 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .encode import build_pc_instance
+import numpy as np
+
+from .encode import build_pc_instance, decision_from_solution
 from .instance import StaticInstance
 from .pchgs import HgsParams, PcInfeasibleError, solve
 from .simulator import (
@@ -22,8 +24,8 @@ from .simulator import (
     DynamicConfig,
     OpenRequest,
     SystemState,
-    classify_must_dispatch,
     decision_cost,
+    run_episode,
     sample_epoch,
 )
 
@@ -69,7 +71,7 @@ class TrainingSample:
         }
 
 
-def sample_from_json_dict(data: dict, cfg: DynamicConfig) -> TrainingSample:
+def sample_from_json_dict(data: dict) -> TrainingSample:
     must = set(data["must_dispatch"])
     open_reqs = tuple(
         OpenRequest(
@@ -85,7 +87,7 @@ def sample_from_json_dict(data: dict, cfg: DynamicConfig) -> TrainingSample:
         for d in data["open_requests"]
     )
     epoch = int(data["epoch"])
-    state = SystemState(epoch=epoch, t_e=cfg.epoch_start(epoch), open=open_reqs)
+    state = SystemState(epoch=epoch, open=open_reqs)
     return TrainingSample(
         instance=data["instance"],
         scenario_seed=int(data["scenario_seed"]),
@@ -98,17 +100,21 @@ def sample_from_json_dict(data: dict, cfg: DynamicConfig) -> TrainingSample:
 
 
 def sample_scenario(
-    inst: StaticInstance, cfg: DynamicConfig
+    inst: StaticInstance,
+    cfg: DynamicConfig,
+    first_epoch: int = 0,
+    rng: np.random.Generator | None = None,
 ) -> tuple[ReleasedRequest, ...]:
-    """All requests of one dynamic realization, each with its release time.
-    Raises ValueError when the config does not fit the instance."""
+    """The requests revealed from ``first_epoch`` on, each released at its
+    epoch's dispatch time. With no ``rng`` these are the simulator's own
+    draws; with one, every epoch draws from it in turn. Raises ValueError
+    when the config does not fit the instance."""
     cfg.validate(inst)
-    out: list[ReleasedRequest] = []
-    for epoch in range(cfg.n_epochs):
-        t_e = cfg.epoch_start(epoch)
-        for req in sample_epoch(inst, cfg, epoch):
-            out.append(ReleasedRequest(request=req, release=t_e + cfg.dispatch_offset))
-    return tuple(out)
+    return tuple(
+        ReleasedRequest(request=req, release=cfg.dispatch_time(epoch))
+        for epoch in range(first_epoch, cfg.n_epochs)
+        for req in sample_epoch(inst, cfg, epoch, rng=rng)
+    )
 
 
 def solve_offline_with_release(
@@ -135,10 +141,7 @@ def solve_offline_with_release(
         release_by_id=release_by_id,
     )
     sol = solve(pc, params)
-    assert pc.ids is not None
-    routes = tuple(tuple(pc.ids[r] for r in route) for route in sol.routes)
-    cost = int(round(-sol.objective))
-    return routes, cost
+    return decision_from_solution(sol, pc).routes, int(round(-sol.objective))
 
 
 def reconstruct_epoch_decisions(
@@ -148,37 +151,29 @@ def reconstruct_epoch_decisions(
 ) -> dict[int, Decision]:
     """Assign each hindsight route to the epoch matching its latest release."""
     per_epoch: dict[int, list[tuple[int, ...]]] = {e: [] for e in range(cfg.n_epochs)}
+    epoch_at = {cfg.dispatch_time(e): e for e in per_epoch}
     for route in routes:
         latest = max(release_by_id[i] for i in route)
-        offset = latest - cfg.dispatch_offset
-        if offset % cfg.epoch_duration != 0:
-            raise ValueError(f"route release {latest} does not lie on the epoch grid")
-        epoch = offset // cfg.epoch_duration
-        if not (0 <= epoch < cfg.n_epochs):
-            raise ValueError(f"route release {latest} maps to epoch {epoch} out of range")
-        per_epoch[epoch].append(tuple(route))
+        if latest not in epoch_at:
+            raise ValueError(f"route release {latest} is no dispatch time of the epoch grid")
+        per_epoch[epoch_at[latest]].append(tuple(route))
     return {e: Decision(routes=tuple(sorted(rts))) for e, rts in per_epoch.items()}
 
 
 def replay_states(
-    scenario: Sequence[ReleasedRequest],
     decisions: dict[int, Decision],
     inst: StaticInstance,
     cfg: DynamicConfig,
 ) -> list[SystemState]:
-    """States seen when the reconstructed decisions are replayed on the scenario."""
-    by_epoch: dict[int, list[OpenRequest]] = {e: [] for e in range(cfg.n_epochs)}
-    for rr in scenario:
-        by_epoch[rr.request.reveal_epoch].append(rr.request)
+    """The simulator's states when it runs the reconstructed decisions; an
+    invalid decision raises InvalidDecisionError, as a policy's would."""
     states: list[SystemState] = []
-    open_reqs: list[OpenRequest] = []
-    for epoch in range(cfg.n_epochs):
-        open_reqs.extend(by_epoch[epoch])
-        state = SystemState(epoch=epoch, t_e=cfg.epoch_start(epoch), open=tuple(open_reqs))
-        state = classify_must_dispatch(state, inst, cfg)
+
+    def replay(state: SystemState) -> Decision:
         states.append(state)
-        dispatched = decisions[epoch].dispatched_ids if epoch in decisions else frozenset()
-        open_reqs = [r for r in state.open if r.id not in dispatched]
+        return decisions.get(state.epoch, Decision(routes=()))
+
+    run_episode(inst, cfg, replay)
     return states
 
 
@@ -192,7 +187,7 @@ def build_scenario_samples(
     release_by_id = {rr.request.id: rr.release for rr in scenario}
     routes, total_cost = solve_offline_with_release(scenario, inst, params)
     decisions = reconstruct_epoch_decisions(routes, release_by_id, cfg)
-    states = replay_states(scenario, decisions, inst, cfg)
+    states = replay_states(decisions, inst, cfg)
     samples: list[TrainingSample] = []
     for epoch, state in enumerate(states):
         decision = decisions.get(epoch, Decision(routes=()))
@@ -250,10 +245,13 @@ def anticipative_baseline_cost(
 
 
 def load_dataset(path: str, cfg: DynamicConfig) -> list[TrainingSample]:
+    """The samples of a ``build_dataset`` file. A state holds only its epoch
+    and requests, so ``cfg`` is not read; callers pass the config the file
+    was built under."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                samples.append(sample_from_json_dict(json.loads(line), cfg))
+                samples.append(sample_from_json_dict(json.loads(line)))
     return samples

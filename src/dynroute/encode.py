@@ -58,7 +58,7 @@ def pc_for_state(
     return build_pc_instance(
         state.open,
         inst,
-        departure=state.t_e + cfg.dispatch_offset,
+        departure=cfg.dispatch_time(state.epoch),
         prizes=prizes,
         forced_in_ids=forced,
     )

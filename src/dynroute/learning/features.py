@@ -7,13 +7,14 @@ distributions through empirical quantiles, ``complete`` concatenates both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..instance import StaticInstance
-from ..simulator import DynamicConfig, SystemState
+from ..simulator import DynamicConfig, SystemState, reachable
 
 MODEL_FREE_DIM = 11
 MODEL_AWARE_DIM = 9
@@ -47,22 +48,17 @@ class FeatureConfig:
 
 def quantile_lower(values: Sequence[float], q: float) -> float:
     """Largest data value x with #{v < x} / k <= q."""
-    vals = sorted(values)
+    return _quantile_sorted(sorted(values), q)
+
+
+def _quantile_sorted(vals: Sequence[float], q: float) -> float:
+    """``quantile_lower`` of data sorted ascending. At most i values lie
+    below vals[i], and exactly i below the first of equal values, so the
+    answer is the element at floor(q * k), or the last one."""
     k = len(vals)
     if k == 0:
         raise ValueError("quantile of empty data")
-    best = vals[0]
-    i = 0
-    while i < k:
-        if i <= q * k + 1e-9:
-            best = vals[i]
-        else:
-            break
-        j = i
-        while j < k and vals[j] == vals[i]:
-            j += 1
-        i = j
-    return float(best)
+    return float(vals[min(k - 1, math.floor(q * k + 1e-9))])
 
 
 def extract_features_raw(
@@ -73,8 +69,8 @@ def extract_features_raw(
         raise ValueError("state has no open requests")
     feature_dim(set_kind)
     rows = []
-    t_e = state.t_e
-    remaining = inst.horizon - t_e
+    remaining = inst.horizon - cfg.epoch_start(state.epoch)
+    departure = cfg.dispatch_time(state.epoch)
     for req in state.open:
         loc = req.location
         t_dr = float(inst.travel[0, loc])
@@ -93,16 +89,16 @@ def extract_features_raw(
                     t_dr / denom_tw if denom_tw != 0 else 0.0,
                     req.tw_open / remaining if remaining > 0 else 0.0,
                     req.tw_close / remaining if remaining > 0 else 0.0,
-                    1.0 if t_e + cfg.dispatch_offset + t_dr > req.tw_close else 0.0,
+                    0.0 if reachable(inst, loc, req.tw_close, departure) else 1.0,
                 ]
             )
         if set_kind in ("model_aware", "complete"):
             others = [j for j in range(inst.n_locations) if j != loc]
-            travels = [float(inst.travel[loc, j]) for j in others]
+            travels = sorted(float(inst.travel[loc, j]) for j in others)
             base = req.tw_open + req.service
-            slacks = [float(inst.tw[j][1] - (base + inst.travel[loc, j])) for j in others]
-            row.extend(quantile_lower(travels, q) for q in TRAVEL_QUANTILES)
-            row.extend(quantile_lower(slacks, q) for q in SLACK_QUANTILES)
+            slacks = sorted(float(inst.tw[j][1] - (base + inst.travel[loc, j])) for j in others)
+            row.extend(_quantile_sorted(travels, q) for q in TRAVEL_QUANTILES)
+            row.extend(_quantile_sorted(slacks, q) for q in SLACK_QUANTILES)
         rows.append(row)
     return np.asarray(rows, dtype=float)
 

@@ -45,27 +45,23 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, model: PrizeModel):
+    """Adam over a list of arrays, updated in place."""
+
+    def __init__(self, params: list[np.ndarray]):
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.mw = [np.zeros_like(w) for w in model.weights]
-        self.vw = [np.zeros_like(w) for w in model.weights]
-        self.mb = [np.zeros_like(b) for b in model.biases]
-        self.vb = [np.zeros_like(b) for b in model.biases]
+        self.params = params
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
-    def step(self, model: PrizeModel, grads_w, grads_b, lr: float) -> None:
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
-        for i in range(len(model.weights)):
-            self.mw[i] = self.b1 * self.mw[i] + (1 - self.b1) * grads_w[i]
-            self.vw[i] = self.b2 * self.vw[i] + (1 - self.b2) * grads_w[i] ** 2
-            self.mb[i] = self.b1 * self.mb[i] + (1 - self.b1) * grads_b[i]
-            self.vb[i] = self.b2 * self.vb[i] + (1 - self.b2) * grads_b[i] ** 2
-            mw_hat = self.mw[i] / (1 - self.b1**self.t)
-            vw_hat = self.vw[i] / (1 - self.b2**self.t)
-            mb_hat = self.mb[i] / (1 - self.b1**self.t)
-            vb_hat = self.vb[i] / (1 - self.b2**self.t)
-            model.weights[i] -= lr * mw_hat / (np.sqrt(vw_hat) + self.eps)
-            model.biases[i] -= lr * mb_hat / (np.sqrt(vb_hat) + self.eps)
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g**2
+            m_hat = self.m[i] / (1 - self.b1**self.t)
+            v_hat = self.v[i] / (1 - self.b2**self.t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train(
@@ -118,7 +114,8 @@ def train(
     scaled = dataclasses.replace(pcfg, epsilon=pcfg.epsilon * model.output_scale)
     z_rng = np.random.default_rng([pcfg.seed, 7])
 
-    adam = _Adam(model)
+    params = model.weights + model.biases
+    adam = _Adam(params)
     log: list[dict] = []
     all_feats = np.vstack(feats)
 
@@ -128,8 +125,7 @@ def train(
         epoch_losses: list[float] = []
         for start in range(0, len(perm), tcfg.batch_size):
             batch = perm[start : start + tcfg.batch_size]
-            grads_w = [np.zeros_like(w) for w in model.weights]
-            grads_b = [np.zeros_like(b) for b in model.biases]
+            grads = [np.zeros_like(p) for p in params]
             for i in batch:
                 z = z_rng.standard_normal((pcfg.n_samples, len(usable[i].state.open)))
                 theta = predict_prizes(model, feats[i])
@@ -138,11 +134,10 @@ def train(
                     raise TrainingDiverged(epoch, log)
                 epoch_losses.append(out.loss)
                 gw, gb = backprop(model, feats[i], out.grad)
-                for li in range(len(grads_w)):
-                    grads_w[li] += gw[li] / len(batch)
-                    grads_b[li] += gb[li] / len(batch)
+                for g, d in zip(grads, gw + gb):
+                    g += d / len(batch)
             if lr > 0:
-                adam.step(model, grads_w, grads_b, lr)
+                adam.step(grads, lr)
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
         # A dying network shows as a hidden layer with no live unit and prizes
         # that no longer vary across the training rows.

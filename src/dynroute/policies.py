@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ReleasedRequest, solve_offline_with_release
+from .dataset import ReleasedRequest, sample_scenario, solve_offline_with_release
 from .encode import build_pc_instance, decision_from_solution, pc_for_state
 from .instance import StaticInstance
 from .learning import PrizeModel, extract_features, load_model, predict_prizes
 from .pchgs import HgsParams, solve
-from .simulator import Decision, DynamicConfig, OpenRequest, SystemState, sample_epoch
+from .simulator import Decision, DynamicConfig, OpenRequest, SystemState
 
 POLICY_KINDS = ("greedy", "lazy", "random", "rolling_horizon", "monte_carlo", "ml_co")
 
@@ -77,7 +77,7 @@ def decide_greedy(
 ) -> Decision:
     """Dispatch every open request now."""
     return _mandatory_decision(
-        list(state.open), inst, state.t_e + cfg.dispatch_offset, _params(spec, state.epoch)
+        list(state.open), inst, cfg.dispatch_time(state.epoch), _params(spec, state.epoch)
     )
 
 
@@ -87,7 +87,7 @@ def decide_lazy(
     """Dispatch only what can no longer be postponed."""
     keep = [r for r in state.open if r.must_dispatch]
     return _mandatory_decision(
-        keep, inst, state.t_e + cfg.dispatch_offset, _params(spec, state.epoch)
+        keep, inst, cfg.dispatch_time(state.epoch), _params(spec, state.epoch)
     )
 
 
@@ -98,7 +98,7 @@ def decide_random(
     rng = np.random.default_rng([spec.seed, state.epoch, 0x7A2])
     keep = [r for r in state.open if r.must_dispatch or rng.random() < 0.5]
     return _mandatory_decision(
-        keep, inst, state.t_e + cfg.dispatch_offset, _params(spec, state.epoch)
+        keep, inst, cfg.dispatch_time(state.epoch), _params(spec, state.epoch)
     )
 
 
@@ -117,13 +117,9 @@ def _scenario_dispatch_ids(
     the ones that must leave now. Returns (dispatch ids, hindsight routes).
     """
     rng = np.random.default_rng([spec.seed, state.epoch, scenario_idx, 0x5C3])
-    combined: list[ReleasedRequest] = [
-        ReleasedRequest(request=r, release=state.t_e + cfg.dispatch_offset) for r in state.open
-    ]
-    for future_epoch in range(state.epoch + 1, cfg.n_epochs):
-        release = cfg.epoch_start(future_epoch) + cfg.dispatch_offset
-        for req in sample_epoch(inst, cfg, future_epoch, rng=rng):
-            combined.append(ReleasedRequest(request=req, release=release))
+    now = cfg.dispatch_time(state.epoch)
+    combined = [ReleasedRequest(request=r, release=now) for r in state.open]
+    combined += sample_scenario(inst, cfg, state.epoch + 1, rng)
     params = _params(spec, state.epoch, share=share, salt=scenario_idx + 1)
     routes, _ = solve_offline_with_release(combined, inst, params)
     must = state.must_dispatch_ids
@@ -161,7 +157,7 @@ def decide_monte_carlo(
     ids = must | {i for i, c in votes.items() if c >= needed}
     keep = [r for r in state.open if r.id in ids]
     return _mandatory_decision(
-        keep, inst, state.t_e + cfg.dispatch_offset, _params(spec, state.epoch, share=0.2)
+        keep, inst, cfg.dispatch_time(state.epoch), _params(spec, state.epoch, share=0.2)
     )
 
 

@@ -9,6 +9,7 @@ what they dispatch.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -41,6 +42,10 @@ class DynamicConfig:
     def epoch_start(self, epoch: int) -> int:
         return epoch * self.epoch_duration
 
+    def dispatch_time(self, epoch: int) -> int:
+        """When a vehicle dispatched in ``epoch`` leaves the depot."""
+        return self.epoch_start(epoch) + self.dispatch_offset
+
 
 @dataclass(frozen=True)
 class OpenRequest:
@@ -57,7 +62,6 @@ class OpenRequest:
 @dataclass(frozen=True)
 class SystemState:
     epoch: int
-    t_e: int
     open: tuple[OpenRequest, ...]
 
     def by_id(self) -> dict[int, OpenRequest]:
@@ -101,14 +105,7 @@ class EpisodeResult:
 
     def to_json_dict(self, cfg: DynamicConfig, instance_name: str) -> dict:
         return {
-            "config": {
-                "instance": instance_name,
-                "n_epochs": cfg.n_epochs,
-                "sample_size": cfg.sample_size,
-                "instance_seed": cfg.instance_seed,
-                "epoch_duration": cfg.epoch_duration,
-                "dispatch_offset": cfg.dispatch_offset,
-            },
+            "config": {"instance": instance_name, **dataclasses.asdict(cfg)},
             "per_epoch": [
                 {
                     "epoch": rec.epoch,
@@ -130,6 +127,11 @@ class InvalidDecisionError(RuntimeError):
         super().__init__(f"invalid decision in epoch {epoch}: {lines}")
 
 
+def reachable(inst: StaticInstance, location: int, tw_close: int, departure: int) -> bool:
+    """Whether a vehicle leaving the depot at ``departure`` arrives by ``tw_close``."""
+    return departure + int(inst.travel[0, location]) <= tw_close
+
+
 def sample_epoch(
     inst: StaticInstance,
     cfg: DynamicConfig,
@@ -141,7 +143,7 @@ def sample_epoch(
     Each candidate's location, demand, service time, and time window are drawn
     independently and uniformly from the static rows (depot excluded). A
     candidate is kept iff a vehicle dispatched this epoch can still reach it
-    inside its window: t_e + offset + travel[depot][loc] <= tw.close.
+    inside its window (``reachable`` at the epoch's dispatch time).
     Deterministic given (instance_seed, epoch).
     """
     if epoch >= cfg.n_epochs:
@@ -155,13 +157,12 @@ def sample_epoch(
     service_rows = rng.integers(1, n, size=m)
     tw_rows = rng.integers(1, n, size=m)
 
-    t_e = cfg.epoch_start(epoch)
-    earliest = t_e + cfg.dispatch_offset
+    departure = cfg.dispatch_time(epoch)
     kept: list[OpenRequest] = []
     for k in range(m):
         loc = int(locs[k])
         tw_open, tw_close = inst.tw[int(tw_rows[k])]
-        if earliest + int(inst.travel[0, loc]) > tw_close:
+        if not reachable(inst, loc, tw_close, departure):
             continue
         kept.append(
             OpenRequest(
@@ -184,22 +185,19 @@ def classify_must_dispatch(
 
     A request is must-dispatch iff this is the final epoch, or a vehicle
     leaving at the next epoch's dispatch time could no longer reach it in
-    time: t_{e+1} + offset + travel[depot][loc] > tw.close.
+    time.
     """
     final = state.epoch >= cfg.n_epochs - 1
-    next_earliest = cfg.epoch_start(state.epoch + 1) + cfg.dispatch_offset
+    later = cfg.dispatch_time(state.epoch + 1)
     flagged = tuple(
-        replace(
-            r,
-            must_dispatch=final or next_earliest + int(inst.travel[0, r.location]) > r.tw_close,
-        )
+        replace(r, must_dispatch=final or not reachable(inst, r.location, r.tw_close, later))
         for r in state.open
     )
     return replace(state, open=flagged)
 
 
 def initial_state(inst: StaticInstance, cfg: DynamicConfig) -> SystemState:
-    state = SystemState(epoch=0, t_e=0, open=sample_epoch(inst, cfg, 0))
+    state = SystemState(epoch=0, open=sample_epoch(inst, cfg, 0))
     return classify_must_dispatch(state, inst, cfg)
 
 
@@ -210,7 +208,7 @@ def validate_decision(
     violations: list[Violation] = []
     open_by_id = state.by_id()
     seen: set[int] = set()
-    departure = state.t_e + cfg.dispatch_offset
+    departure = cfg.dispatch_time(state.epoch)
 
     for route in decision.routes:
         if len(route) == 0:
@@ -274,9 +272,7 @@ def transition(
     next_epoch = state.epoch + 1
     carried = tuple(r for r in state.open if r.id not in dispatched)
     arrivals = sample_epoch(inst, cfg, next_epoch) if next_epoch < cfg.n_epochs else ()
-    nxt = SystemState(
-        epoch=next_epoch, t_e=cfg.epoch_start(next_epoch), open=carried + arrivals
-    )
+    nxt = SystemState(epoch=next_epoch, open=carried + arrivals)
     return classify_must_dispatch(nxt, inst, cfg)
 
 

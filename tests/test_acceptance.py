@@ -90,7 +90,7 @@ def small_state(seed: int, n_open: tuple[int, int], coord_span=120):
     rng = np.random.default_rng([seed, 0xACC])
     take = int(rng.integers(lo, hi + 1))
     reqs = sample_epoch(inst, cfg, 0)[:take]
-    state = SystemState(epoch=0, t_e=0, open=reqs)
+    state = SystemState(epoch=0, open=reqs)
     state = classify_must_dispatch(state, inst, cfg)
     return inst, cfg, state
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dynroute import dataset
 from dynroute.dataset import (
     ReleasedRequest,
     anticipative_baseline_cost,
@@ -20,8 +21,11 @@ from dynroute.pchgs import ExactSolver, HgsParams, solve
 from dynroute.simulator import (
     Decision,
     DynamicConfig,
+    InvalidDecisionError,
     OpenRequest,
+    initial_state,
     run_episode,
+    sample_epoch,
     validate_decision,
 )
 
@@ -109,7 +113,7 @@ def test_scenario_samples_replay_cleanly():
 
     scenario = sample_scenario(inst, cfg)
     decisions = {s.epoch: Decision(routes=s.target_routes) for s in samples}
-    states = replay_states(scenario, decisions, inst, cfg)
+    states = replay_states(decisions, inst, cfg)
     for epoch, state in enumerate(states):
         violations = validate_decision(state, inst, cfg, decisions[epoch])
         assert violations == []
@@ -120,6 +124,27 @@ def test_scenario_samples_replay_cleanly():
 
     # cost audit: per-epoch target costs sum to the scenario's offline cost
     assert sum(-s.target_h for s in samples) == total_cost
+
+
+def test_hindsight_targets_are_validated_as_a_policys_decisions(monkeypatch):
+    """A hindsight plan that puts an epoch-0 must-dispatch request on a route
+    with a request released later leaves it uncovered in epoch 0; building
+    the samples rejects the plan instead of writing it as a target."""
+    inst = generate_instance(14, seed=31)
+    cfg = cfg_for(inst, n_epochs=3, sample_size=6, seed=50)
+    urgent = min(initial_state(inst, cfg).must_dispatch_ids)
+    later = sample_epoch(inst, cfg, 1)[0].id
+    rest = [rr.request.id for rr in sample_scenario(inst, cfg)
+            if rr.request.id not in (urgent, later)]
+
+    def carry_urgent_request(requests, inst, params):
+        return ((urgent, later),) + tuple((i,) for i in rest), 0
+
+    monkeypatch.setattr(dataset, "solve_offline_with_release", carry_urgent_request)
+    with pytest.raises(InvalidDecisionError) as err:
+        build_scenario_samples(inst, cfg, params())
+    assert err.value.epoch == 0
+    assert "must_dispatch" in [v.kind for v in err.value.violations]
 
 
 def test_samples_cover_must_dispatch_and_respect_releases():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynroute.dataset import TrainingSample
 from dynroute.encode import pc_for_state
@@ -47,7 +48,7 @@ def small_world(seed=1, n_rows=10, span=120):
 
 def state_with(inst, cfg, epoch=0, limit=5):
     reqs = sample_epoch(inst, cfg, epoch)[:limit]
-    state = SystemState(epoch=epoch, t_e=cfg.epoch_start(epoch), open=reqs)
+    state = SystemState(epoch=epoch, open=reqs)
     return classify_must_dispatch(state, inst, cfg)
 
 
@@ -85,7 +86,8 @@ def test_must_dispatch_indicator_formula():
     raw = extract_features_raw(state, inst, cfg, "model_free")
     for row, req in zip(raw, state.open):
         t_dr = int(inst.travel[0, req.location])
-        expected = 1.0 if state.t_e + cfg.dispatch_offset + t_dr > req.tw_close else 0.0
+        departure = cfg.epoch_start(state.epoch) + cfg.dispatch_offset
+        expected = 1.0 if departure + t_dr > req.tw_close else 0.0
         assert row[10] == expected
 
 
@@ -120,6 +122,37 @@ def test_quantiles_match_sort_oracle():
             assert quantile_lower(vals, q) == quantile_oracle(vals, q)
 
 
+def quantile_scan(values, q):
+    """The scan quantile_lower's closed form replaced: the first index of each
+    distinct value, in order, while that index is at most q * k."""
+    vals = sorted(values)
+    k = len(vals)
+    best = vals[0]
+    i = 0
+    while i < k:
+        if i <= q * k + 1e-9:
+            best = vals[i]
+        else:
+            break
+        j = i
+        while j < k and vals[j] == vals[i]:
+            j += 1
+        i = j
+    return float(best)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from([-3.0, -0.5, 0.0, 1.0, 2.5, 7.0]) | st.integers(-4, 4),
+                min_size=1, max_size=120),
+       st.data())
+def test_closed_form_quantile_matches_the_scan(vals, data):
+    k = len(vals)
+    q = data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.10, 0.50, 1.0])
+                  | st.integers(0, k).map(lambda i: i / k)
+                  | st.floats(0.0, 1.0))
+    assert quantile_lower(vals, q) == quantile_scan(vals, q)
+
+
 def test_feature_dimensions_and_standardization():
     inst, cfg = small_world(seed=5)
     state = state_with(inst, cfg)
@@ -136,7 +169,7 @@ def test_division_guards_map_to_zero():
     inst, cfg = small_world(seed=6)
     reqs = sample_epoch(inst, cfg, 0)[:2]
     degenerate = dataclasses.replace(reqs[0], service=reqs[0].tw_close)
-    state = SystemState(epoch=0, t_e=0, open=(degenerate, reqs[1]))
+    state = SystemState(epoch=0, open=(degenerate, reqs[1]))
     raw = extract_features_raw(state, inst, cfg, "model_free")
     assert raw[0][7] == 0.0
 
@@ -147,7 +180,7 @@ def test_feature_permutation_equivariance():
     perm = [2, 0, 1, 4, 3][: len(state.open)]
     perm = perm if len(perm) == len(state.open) else list(reversed(range(len(state.open))))
     permuted = SystemState(
-        epoch=state.epoch, t_e=state.t_e, open=tuple(state.open[i] for i in perm)
+        epoch=state.epoch, open=tuple(state.open[i] for i in perm)
     )
     a = extract_features_raw(state, inst, cfg, "complete")
     b = extract_features_raw(permuted, inst, cfg, "complete")
@@ -289,7 +322,6 @@ def test_forcing_prizes_empty_target_yields_empty_solution():
     state = state_with(inst, cfg, limit=4)
     state = SystemState(  # drop flags so nothing is forced into the solution
         epoch=state.epoch,
-        t_e=state.t_e,
         open=tuple(dataclasses.replace(r, must_dispatch=False) for r in state.open),
     )
     sample = sample_with_target(inst, cfg, state, [])
@@ -409,7 +441,7 @@ def test_loss_value_invariant_under_permutation():
     out = perturbed_loss_and_grad(theta, sample, inner, pcfg, z=z)
 
     perm = list(reversed(range(dim)))
-    p_state = SystemState(epoch=state.epoch, t_e=state.t_e,
+    p_state = SystemState(epoch=state.epoch,
                           open=tuple(state.open[i] for i in perm))
     p_sample = TrainingSample(
         instance=sample.instance,

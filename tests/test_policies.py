@@ -49,7 +49,7 @@ def spec(kind, **kw):
 
 
 def empty_state(cfg):
-    return SystemState(epoch=0, t_e=0, open=())
+    return SystemState(epoch=0, open=())
 
 
 
@@ -61,7 +61,7 @@ def final_epoch_state(inst, cfg, state):
     keep = tuple(
         r for r in state.open if dep + int(inst.travel[0, r.location]) <= r.tw_close
     )
-    final = SystemState(epoch=last, t_e=cfg.epoch_start(last), open=keep)
+    final = SystemState(epoch=last, open=keep)
     return classify_must_dispatch(final, inst, cfg)
 
 
@@ -70,7 +70,7 @@ def test_greedy_empty_and_single():
     cfg = cfg_for(inst)
     assert decide_greedy(empty_state(cfg), inst, cfg, spec("greedy")).routes == ()
     state = initial_state(inst, cfg)
-    one = SystemState(epoch=0, t_e=0, open=state.open[:1])
+    one = SystemState(epoch=0, open=state.open[:1])
     decision = decide_greedy(one, inst, cfg, spec("greedy"))
     assert decision.routes == ((one.open[0].id,),)
 
@@ -168,7 +168,6 @@ def test_rolling_horizon_no_must_dispatch_means_empty():
     state = initial_state(inst, cfg)
     no_must = SystemState(
         epoch=state.epoch,
-        t_e=state.t_e,
         open=tuple(dataclasses.replace(r, must_dispatch=False) for r in state.open),
     )
     decision = decide_rolling_horizon(no_must, inst, cfg, spec("rolling_horizon"))
@@ -247,7 +246,6 @@ def test_ml_co_negative_prizes_and_no_must_dispatch(tmp_path):
     state = initial_state(inst, cfg)
     no_must = SystemState(
         epoch=state.epoch,
-        t_e=state.t_e,
         open=tuple(dataclasses.replace(r, must_dispatch=False) for r in state.open),
     )
     path, model = make_model(tmp_path, inst, bias=-1000.0)

@@ -104,7 +104,7 @@ def test_expected_arrivals_weakly_decrease_over_epochs():
 def test_final_epoch_flags_everything():
     inst = generate_instance(15, seed=8)
     cfg = cfg_for(inst, n_epochs=2)
-    state = SystemState(epoch=1, t_e=cfg.epoch_start(1), open=sample_epoch(inst, cfg, 1))
+    state = SystemState(epoch=1, open=sample_epoch(inst, cfg, 1))
     state = classify_must_dispatch(state, inst, cfg)
     assert all(r.must_dispatch for r in state.open)
 
@@ -121,7 +121,7 @@ def test_boundary_request_is_not_flagged():
     tight = OpenRequest(
         id=2, location=1, demand=1, service=10, tw_open=0, tw_close=349, reveal_epoch=0
     )
-    state = SystemState(epoch=1, t_e=100, open=(boundary, tight))
+    state = SystemState(epoch=1, open=(boundary, tight))
     state = classify_must_dispatch(state, inst, cfg)
     flags = {r.id: r.must_dispatch for r in state.open}
     assert flags == {1: False, 2: True}
@@ -132,7 +132,7 @@ def test_flag_equals_single_route_feasibility_oracle():
     cfg = cfg_for(inst, n_epochs=4, sample_size=15)
     for epoch in range(3):
         state = SystemState(
-            epoch=epoch, t_e=cfg.epoch_start(epoch), open=sample_epoch(inst, cfg, epoch)
+            epoch=epoch, open=sample_epoch(inst, cfg, epoch)
         )
         state = classify_must_dispatch(state, inst, cfg)
         next_departure = cfg.epoch_start(epoch + 1) + cfg.dispatch_offset
@@ -310,7 +310,7 @@ def test_decision_cost_uses_locations():
     inst = square_instance()
     req = OpenRequest(id=7, location=2, demand=1, service=10, tw_open=0, tw_close=900,
                       reveal_epoch=0)
-    state = SystemState(epoch=0, t_e=0, open=(req,))
+    state = SystemState(epoch=0, open=(req,))
     d = Decision(routes=((7,),))
     assert decision_cost(inst, state, d) == int(inst.travel[0, 2]) + int(inst.travel[2, 0])
 
@@ -329,10 +329,10 @@ def test_validate_decision_matches_evaluate_route_on_static_rows(perm, k, epoch,
                     tw_open=inst.tw[r][0], tw_close=inst.tw[r][1], reveal_epoch=0)
         for r in range(1, 11)
     )
-    state = SystemState(epoch=epoch, t_e=cfg.epoch_start(epoch), open=open_)
+    state = SystemState(epoch=epoch, open=open_)
     decision = Decision(routes=(tuple(1000 + r for r in route),))
     kinds = [v.kind for v in validate_decision(state, inst, cfg, decision)]
-    report = evaluate_route(inst, route, state.t_e + offset)
+    report = evaluate_route(inst, route, cfg.epoch_start(epoch) + offset)
     assert kinds == ([report.kind] if isinstance(report, RouteViolation) else [])
 
 
@@ -344,7 +344,7 @@ def test_validate_decision_accepts_requests_sharing_a_location():
                     reveal_epoch=0, must_dispatch=True)
         for i in (3, 4)
     )
-    state = SystemState(epoch=0, t_e=0, open=reqs)
+    state = SystemState(epoch=0, open=reqs)
     decision = Decision(routes=((3, 4),))
     assert validate_decision(state, inst, cfg, decision) == []
     assert decision_cost(inst, state, decision) == int(inst.travel[0, 1]) + int(inst.travel[1, 0])
@@ -358,7 +358,7 @@ def _two_open_requests():
                     reveal_epoch=0, must_dispatch=True)
         for i, loc in ((3, 1), (4, 2))
     )
-    return inst, cfg, SystemState(epoch=0, t_e=0, open=reqs)
+    return inst, cfg, SystemState(epoch=0, open=reqs)
 
 
 def test_validate_decision_reports_a_repeat_within_one_route():

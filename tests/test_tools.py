@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BENCH = TOOLS.parent / "bench"
 
 
-def load_tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name: str, where: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(name, where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -57,3 +58,18 @@ def test_compare_runs_pairs_episodes_and_sums_task_time(tmp_path):
     assert (baseline["policy"], baseline["pairs"], baseline["equal"]) == ("anticipative", 4, 4)
     assert baseline["rel"] == pytest.approx((0.0, 0.0, 0.0))
     assert "| greedy | 3 (1 unpaired) |" in compare_runs.render([greedy, baseline])
+
+
+def test_benchmark_set_up_and_trace_boundaries_resolve(monkeypatch):
+    """Every workload's set-up runs and every traced layer boundary is found,
+    so a renamed or removed boundary fails here, not only in a traced run."""
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker and spans
+    workloads = load_tool("workloads", BENCH)
+    spans = load_tool("spans", BENCH)
+    for name in workloads.WORKLOADS:
+        workloads.WORKLOADS[name](0)
+    recorder = spans.Recorder()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
